@@ -15,8 +15,7 @@ from .fields import GF, FieldError, find_irreducible, gf, parse_field_descriptor
 from .groups import (AbelianSquare, CapExceeded, Group, GroupError,
                      HandleMismatch, closure, parse_group)
 from .perms import (BSGS, AlternatingGroup, SymmetricGroup,
-                    construct_almost_homogeneous, schreier_sims,
-                    select_six_shapes)
+                    construct_almost_homogeneous, select_six_shapes)
 from .probability import (EstimateResult, EstimationConfig,
                           estimate_beauville_probability,
                           estimate_component_stats,
@@ -43,7 +42,7 @@ __all__ = [
     "estimate_component_stats", "exact_probability_exhaustive",
     "find_generating_triple", "find_irreducible", "frobenius_count_brute",
     "frobenius_count_character", "gf", "is_hurwitz_psl2", "parse_field_descriptor",
-    "parse_group", "schreier_sims", "search_structure", "select_six_shapes",
+    "parse_group", "search_structure", "select_six_shapes",
     "sigma_prime_fingerprints", "verify_quadruple", "wilson_interval",
     "witten_zeta",
 ]

@@ -24,19 +24,17 @@ import os
 import sys
 import time
 
-from .counting import (CharacterTable, ClassPartition, character_table,
+from .counting import (ENUMERATION_CAP, TABLE_CAP, CharacterTable,
+                       ClassPartition, TableInvalid, character_table,
                        frobenius_count_brute, frobenius_count_character,
                        witten_zeta)
 from .fields import FieldError
 from .groups import CapExceeded, Group, GroupError, parse_group
 from .probability import estimate_beauville_probability, estimate_component_stats
-from .structures import (DEFAULT_SEED, SearchInconclusive, Unrealizable,
-                         classify_triangle, find_generating_triple,
-                         is_hurwitz_psl2, search_structure, verify_quadruple)
-
-DEFAULT_ENUM_CAP = 1_000_000
-DEFAULT_PAIR_CAP = 2_000_000
-DEFAULT_TABLE_CAP = 10_000
+from .structures import (DEFAULT_SEED, PAIR_CAP, SearchInconclusive,
+                         Unrealizable, classify_triangle,
+                         find_generating_triple, is_hurwitz_psl2,
+                         search_structure, verify_quadruple)
 
 
 def cache_dir() -> str:
@@ -50,18 +48,39 @@ def _table_path(descriptor: str) -> str:
 
 
 def _load_or_compute_table(G: Group, cap: int, save: bool = True) -> CharacterTable:
+    """The cached table of G; a missing, unreadable or invalid cache file
+    is a miss (invalid ones with a warning), recomputed and, with ``save``,
+    replaced atomically."""
     path = _table_path(G.descriptor())
-    if os.path.exists(path):
+    try:
         with open(path, encoding="utf-8") as fh:
             table = CharacterTable.from_json(fh.read())
         table.validate()
         return table
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError, KeyError, TypeError, TableInvalid) as exc:
+        print(f"warning: recomputing the character table, cache file {path} "
+              f"is unusable: {type(exc).__name__}: {exc}", file=sys.stderr)
     table = character_table(G, cap=cap)
     if save:
         os.makedirs(cache_dir(), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(table.to_json())
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(table.to_json())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     return table
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _split_elements(G: Group, text: str, expected: int):
@@ -108,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type2", help="target type r,s,t for the second triple")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--attempts", type=int, default=200_000)
-    p.add_argument("--cap-pairs", type=int, default=DEFAULT_PAIR_CAP)
+    p.add_argument("--cap-pairs", type=int, default=PAIR_CAP)
 
     p = sub.add_parser("triple", parents=[common],
                        help="find a generating triple of exact orders, or "
@@ -131,22 +150,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common],
                        help="Monte Carlo estimate of the Beauville probability")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--no-components", action="store_true")
 
     p = sub.add_parser("stats", parents=[common],
                        help="split/non-split/generation component fractions")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
 
     p = sub.add_parser("classes", parents=[common],
                        help="list the conjugacy classes")
     p.add_argument("--group", required=True)
-    p.add_argument("--cap-enumeration", type=int, default=DEFAULT_ENUM_CAP)
+    p.add_argument("--cap-enumeration", type=int, default=ENUMERATION_CAP)
 
     p = sub.add_parser("frobenius", parents=[common],
                        help="count solutions of x*y*z = 1 in three classes")
@@ -155,21 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True, help="index of class Y")
     p.add_argument("--k", type=int, required=True, help="index of class Z")
     p.add_argument("--method", choices=("brute", "character"), default="brute")
-    p.add_argument("--cap-enumeration", type=int, default=DEFAULT_ENUM_CAP)
-    p.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
+    p.add_argument("--cap-enumeration", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
 
     p = sub.add_parser("chartable", parents=[common],
                        help="compute (and optionally persist) a character table")
     p.add_argument("--group", required=True)
     p.add_argument("--save", action="store_true",
                    help="persist under $BEAUVILLE_CACHE_DIR")
-    p.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
+    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="Witten zeta: sum of degree**(-s) over Irr(G)")
     p.add_argument("--group", required=True)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--cap-table", type=int, default=DEFAULT_TABLE_CAP)
+    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
 
     p = sub.add_parser("hurwitz", parents=[common],
                        help="is PSL2(p^e) a (2,3,7) triangle-group quotient?")

@@ -87,12 +87,6 @@ class ClassPartition:
     def class_of(self, m) -> int:
         return self.element_class[m]
 
-    def by_label(self, label: str) -> ClassData:
-        for c in self.classes:
-            if c.label() == label:
-                return c
-        raise KeyError(f"no conjugacy class labelled {label!r}")
-
 
 def conjugacy_classes(group: Group, cap: int = ENUMERATION_CAP) -> ClassPartition:
     return ClassPartition(group, cap)

@@ -378,9 +378,6 @@ class GF:
                 return d
         raise AssertionError("element fixed by no subfield Frobenius")
 
-    def in_subfield(self, a: int, d: int) -> bool:
-        return self.subfield_degree(a) in {k for k in range(1, d + 1) if d % k == 0}
-
     # -- iteration / parsing ---------------------------------------------------
 
     def elements(self):

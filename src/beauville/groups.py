@@ -99,10 +99,6 @@ class Group:
         """g * a * g**-1."""
         return self.multiply(self.multiply(g, a), self.inverse(g))
 
-    def commutator(self, a, b):
-        return self.multiply(self.multiply(a, b),
-                             self.inverse(self.multiply(b, a)))
-
     def elements(self, limit: int = 1_000_000):
         """Enumerate the whole group, refusing when |G| exceeds the cap."""
         if self.order > limit:

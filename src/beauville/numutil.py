@@ -4,7 +4,6 @@ Everything here is exact integer arithmetic; nothing imports numpy.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -65,38 +64,3 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(p for p, _ in factorize(n))
-
-
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, sorted ascending."""
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return tuple(sorted(ds))
-
-
-def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a in (Z/modulus)*; a must be coprime to modulus."""
-    if math.gcd(a, modulus) != 1:
-        raise ValueError("element not invertible")
-    return _order_dividing(a, modulus, _carmichael(modulus))
-
-
-def _carmichael(n: int) -> int:
-    lam = 1
-    for p, e in factorize(n):
-        if p == 2 and e >= 3:
-            block = 2 ** (e - 2)
-        else:
-            block = p ** (e - 1) * (p - 1)
-        lam = lam * block // math.gcd(lam, block)
-    return lam
-
-
-def _order_dividing(a: int, modulus: int, bound: int) -> int:
-    order = bound
-    for p in prime_factors(bound):
-        while order % p == 0 and pow(a, order // p, modulus) == 1:
-            order //= p
-    return order

@@ -146,9 +146,6 @@ class BSGS:
         residue, level = self._sift(tuple(g), 0)
         return residue == self.e and level == len(self.base)
 
-    def strong_generators(self):
-        return [g for lvl in self.level_gens for g in lvl]
-
     # -- internals ----------------------------------------------------------
 
     def _ensure_base_point(self, g):
@@ -213,10 +210,6 @@ class BSGS:
                 self.level_gens[j].append(residue)
                 return j
         return None
-
-
-def schreier_sims(gens, n: int) -> BSGS:
-    return BSGS(gens, n)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +290,7 @@ class AlternatingGroup(_PermGroupBase):
         return g
 
     def element_of_order(self, k):
-        part = even_order_partition(self.n, k)
+        part = order_partition(self.n, k, 0)
         if part is None:
             raise GroupError(
                 f"no even permutation of order {k} on {self.n} points")
@@ -331,6 +324,14 @@ class SymmetricGroup(_PermGroupBase):
         g = list(range(self.n))
         rng.shuffle(g)
         return tuple(g)
+
+    def element_of_order(self, k):
+        """A permutation of order k, even when one exists, else odd."""
+        for par in (0, 1):
+            part = order_partition(self.n, k, par)
+            if part is not None:
+                return permutation_of_shape(self.n, part)
+        raise GroupError(f"no permutation of order {k} on {self.n} points")
 
 
 def _canonical_conjugator_parity(a) -> int:
@@ -431,20 +432,18 @@ def _try_six_shapes(n, orders):
 
 
 @lru_cache(maxsize=None)
-def even_order_partition(n: int, k: int) -> tuple[int, ...] | None:
+def order_partition(n: int, k: int, par: int) -> tuple[int, ...] | None:
     """A multiset of cycle lengths > 1 with lcm exactly k, total at most n,
-    and even total parity; None when no even permutation of order k exists
-    on n points."""
-    if k == 1:
-        return ()
+    and total parity ``par`` (0 even, 1 odd); None when no permutation of
+    order k and that parity exists on n points."""
     divs = [d for d in range(2, k + 1) if k % d == 0]
 
     best: list[tuple[int, ...] | None] = [None]
 
-    def search(idx, remaining, lcm, parts, par):
+    def search(idx, remaining, lcm, parts, parts_par):
         if best[0] is not None:
             return
-        if lcm == k and par == 0:
+        if lcm == k and parts_par == par:
             best[0] = tuple(parts)
             return
         if idx >= len(divs):
@@ -455,7 +454,7 @@ def even_order_partition(n: int, k: int) -> tuple[int, ...] | None:
             search(idx + 1, remaining - copies * d,
                    math.lcm(lcm, d) if copies else lcm,
                    parts + [d] * copies,
-                   (par + copies * (d - 1)) % 2)
+                   (parts_par + copies * (d - 1)) % 2)
             if best[0] is not None:
                 return
 

@@ -19,11 +19,13 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import CapExceeded, Group, parse_group
-from .structures import DEFAULT_SEED, sigma_prime_fingerprints
+from .groups import Group, parse_group
+from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census,
+                         sigma_prime_fingerprints)
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -92,20 +94,13 @@ class EstimateResult:
             "components": self.components,
         }
 
-    def tsv_line(self) -> str:
-        lo, hi = self.interval
-        return "\t".join([
-            self.config.group, str(self.config.samples), str(self.config.seed),
-            str(self.successes), f"{self.estimate:.6f}", f"{lo:.6f}", f"{hi:.6f}"])
-
 
 def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
     x1, y1 = G.random_element(rng), G.random_element(rng)
     x2, y2 = G.random_element(rng), G.random_element(rng)
     gen1, gen2 = G.generates(x1, y1), G.generates(x2, y2)
-    tallies = _pair_tallies(G, x1, y1, gen1)
-    for key, val in _pair_tallies(G, x2, y2, gen2).items():
-        tallies[key] = tallies.get(key, 0) + val
+    tallies = Counter(_pair_tallies(G, x1, y1, gen1))
+    tallies.update(_pair_tallies(G, x2, y2, gen2))
     if not (gen1 and gen2):
         return False, tallies
     z1 = G.inverse(G.multiply(x1, y1))
@@ -119,9 +114,7 @@ def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
     return ok, tallies
 
 
-def _pair_tallies(G, x, y, gen: bool | None = None) -> dict:
-    if gen is None:
-        gen = G.generates(x, y)
+def _pair_tallies(G, x, y, gen: bool) -> dict:
     if G.kind != "psl2":
         return {"elements": 2, "pairs": 1, "generating": int(gen)}
     xy = G.multiply(x, y)
@@ -146,34 +139,43 @@ def _pair_tallies(G, x, y, gen: bool | None = None) -> dict:
     return out
 
 
-def _estimate_range(descriptor: str, seed: int, start: int, stop: int,
-                    component_stats: bool) -> dict:
+def _pair_sample(G: Group, rng) -> tuple[bool, dict]:
+    x, y = G.random_element(rng), G.random_element(rng)
+    return False, _pair_tallies(G, x, y, G.generates(x, y))
+
+
+def _sample_range(sample, descriptor: str, seed: int, start: int, stop: int,
+                  component_stats: bool) -> tuple[int, Counter]:
     G = parse_group(descriptor)
     successes = 0
-    tallies: dict = {}
+    tallies: Counter = Counter()
     for idx in range(start, stop):
-        rng = _sample_rng(seed, idx)
-        ok, t = _is_beauville_sample(G, rng)
+        ok, t = sample(G, _sample_rng(seed, idx))
         successes += ok
         if component_stats:
-            for key, val in t.items():
-                tallies[key] = tallies.get(key, 0) + val
-    return {"successes": successes, "tallies": tallies}
+            tallies.update(t)
+    return successes, tallies
 
 
-def _run_ranges(worker_fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker_fn(*a) for a in args_list]
-    import multiprocessing as mp
-    ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-    with ctx.Pool(workers) as pool:
-        return pool.starmap(worker_fn, args_list)
-
-
-def _chunk(n: int, pieces: int):
-    pieces = max(1, min(pieces, n))
-    step = (n + pieces - 1) // pieces
-    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+def _run_samples(sample, cfg: EstimationConfig) -> tuple[int, Counter]:
+    """Draw sample indices 0..samples-1 with ``sample(G, rng)`` and sum its
+    (success, tallies) results; with several workers the index range is
+    cut into chunks run in a process pool."""
+    pieces = min(cfg.workers * 8 if cfg.workers > 1 else 1, cfg.samples)
+    step = -(-cfg.samples // pieces)
+    args = [(sample, cfg.group, cfg.seed, lo, min(lo + step, cfg.samples),
+             cfg.component_stats) for lo in range(0, cfg.samples, step)]
+    if cfg.workers == 1 or len(args) == 1:
+        parts = [_sample_range(*a) for a in args]
+    else:
+        import multiprocessing as mp
+        ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
+        with ctx.Pool(cfg.workers) as pool:
+            parts = pool.starmap(_sample_range, args)
+    tallies: Counter = Counter()
+    for _, t in parts:
+        tallies.update(t)
+    return sum(ok for ok, _ in parts), tallies
 
 
 def estimate_beauville_probability(G: Group, samples: int,
@@ -187,16 +189,7 @@ def estimate_beauville_probability(G: Group, samples: int,
     """
     cfg = EstimationConfig(G.descriptor(), samples, seed, workers, component_stats)
     t0 = time.perf_counter()
-    ranges = _chunk(samples, workers * 8 if workers > 1 else 1)
-    parts = _run_ranges(
-        _estimate_range,
-        [(cfg.group, seed, lo, hi, component_stats) for lo, hi in ranges],
-        workers)
-    successes = sum(p["successes"] for p in parts)
-    tallies: dict = {}
-    for p in parts:
-        for key, val in p["tallies"].items():
-            tallies[key] = tallies.get(key, 0) + val
+    successes, tallies = _run_samples(_is_beauville_sample, cfg)
     components = _tallies_to_components(tallies) if component_stats else {}
     return EstimateResult(
         config=cfg, successes=successes, estimate=successes / samples,
@@ -221,66 +214,24 @@ def _tallies_to_components(tallies: dict) -> dict:
     return out
 
 
-def _component_range(descriptor: str, seed: int, start: int, stop: int) -> dict:
-    G = parse_group(descriptor)
-    tallies: dict = {}
-    for idx in range(start, stop):
-        rng = _sample_rng(seed, idx)
-        x, y = G.random_element(rng), G.random_element(rng)
-        for key, val in _pair_tallies(G, x, y).items():
-            tallies[key] = tallies.get(key, 0) + val
-    return {"tallies": tallies}
-
-
 def estimate_component_stats(G: Group, samples: int, seed: int = DEFAULT_SEED,
                              workers: int = 1) -> dict:
     """Element- and pair-level component fractions from `samples` uniform
     pairs (each pair also contributes its two elements)."""
     cfg = EstimationConfig(G.descriptor(), samples, seed, workers)
     t0 = time.perf_counter()
-    ranges = _chunk(samples, workers * 8 if workers > 1 else 1)
-    parts = _run_ranges(_component_range,
-                        [(cfg.group, seed, lo, hi) for lo, hi in ranges],
-                        workers)
-    tallies: dict = {}
-    for p in parts:
-        for key, val in p["tallies"].items():
-            tallies[key] = tallies.get(key, 0) + val
+    _, tallies = _run_samples(_pair_sample, cfg)
     out = _tallies_to_components(tallies)
     out["_meta"] = {"group": cfg.group, "samples": samples, "seed": seed,
                     "workers": workers, "elapsed": time.perf_counter() - t0}
     return out
 
 
-def exact_probability_exhaustive(G: Group, pair_cap: int = 2_000_000) -> Fraction:
-    """Exact rational P(G) by enumerating generating pairs.
-
-    The first element of each pair ranges over class representatives only
-    (all conditions are conjugation-invariant), weighted by class size;
-    quadruple counts then factor through the achievable Sigma sets.
-    """
-    ident = G.identity()
-    by_fp: dict = {}
-    for m in G.elements():
-        by_fp.setdefault(G.fingerprint(m), []).append(m)
-    reps = [(ms[0], len(ms)) for ms in by_fp.values() if ms[0] != ident]
-    elements = [m for ms in by_fp.values() for m in ms]
-    if len(reps) * len(elements) > pair_cap:
-        raise CapExceeded(
-            f"exact enumeration needs {len(reps) * len(elements)} pairs, cap {pair_cap}",
-            required=len(reps) * len(elements), cap=pair_cap)
-    weights: dict = {}
-    for x, clsize in reps:
-        for y in elements:
-            if not G.generates(x, y):
-                continue
-            sig = sigma_prime_fingerprints(G, x, y)
-            weights[sig] = weights.get(sig, 0) + clsize
-    total = 0
-    sigmas = list(weights)
-    for s1 in sigmas:
-        for s2 in sigmas:
-            if not (s1 & s2):
-                total += weights[s1] * weights[s2]
-    n4 = Fraction(G.order) ** 4
-    return Fraction(total) / n4
+def exact_probability_exhaustive(G: Group, pair_cap: int = PAIR_CAP) -> Fraction:
+    """Exact rational P(G) from the pair census: a quadruple is a structure
+    when both pairs generate and their Sigma sets are disjoint, so the count
+    is the sum of weight products over disjoint pairs of Sigma sets."""
+    weights = pair_census(G, pair_cap).weights
+    total = sum(w1 * w2 for s1, w1 in weights.items()
+                for s2, w2 in weights.items() if not s1 & s2)
+    return Fraction(total, G.order ** 4)

@@ -294,7 +294,7 @@ class PSL2(Group):
         prod = self._mat_mul(self._mat_mul(A, B), C)
         return (tr(A) == a and tr(B) == b and tr(C) == g
                 and prod == (1, 0, 0, 1)
-                and all(self._mat_det(m) == 1 for m in (A, B, C)))
+                and all(self.determinant(m) == 1 for m in (A, B, C)))
 
     def _mat_mul(self, m, n):
         F = self.field
@@ -309,10 +309,6 @@ class PSL2(Group):
         F = self.field
         a, b, c, d = m
         return (d, F.neg(b), F.neg(c), a)
-
-    def _mat_det(self, m):
-        F = self.field
-        return F.sub(F.mul(m[0], m[3]), F.mul(m[1], m[2]))
 
     @staticmethod
     def _rotate_back(sol, rot):
@@ -549,9 +545,9 @@ class PSL2(Group):
                 raise GroupError(f"malformed matrix {text!r}")
             entries.extend(self.field.parse(p) for p in parts)
         m = tuple(entries)
-        if self._mat_det(m) != 1:
+        if self.determinant(m) != 1:
             raise GroupError(
-                f"matrix {text!r} has determinant {self.field.format(self._mat_det(m))}, "
+                f"matrix {text!r} has determinant {self.field.format(self.determinant(m))}, "
                 f"not an SL2({self.field.descriptor()}) lift")
         return self._canon(m)
 

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .counting import ClassPartition
 from .groups import CapExceeded, Group, GroupError
 from .numutil import is_prime, prime_factors
 
 DEFAULT_SEED = 1729
+PAIR_CAP = 2_000_000
 
 
 class Unrealizable(GroupError):
@@ -292,14 +294,10 @@ def _psl2_triple(G, r, s, t):
 
 
 def _perm_triple(G, r, s, t, seed, max_attempts):
-    from .perms import even_order_partition
-    for k in (r, s, t):
-        need_even = G.kind == "alternating"
-        if need_even and even_order_partition(G.n, k) is None:
-            raise Unrealizable(
-                f"no even permutation of order {k} on {G.n} points")
-    x0 = G.element_of_order(r) if G.kind == "alternating" else _sym_element(G, r)
-    y0 = G.element_of_order(s) if G.kind == "alternating" else _sym_element(G, s)
+    try:  # t is only checked for realizability
+        x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
+    except GroupError as exc:
+        raise Unrealizable(str(exc)) from exc
     rng = random.Random(seed)
     for _ in range(max_attempts):
         x = G.conjugate(G.random_element(rng), x0)
@@ -312,43 +310,6 @@ def _perm_triple(G, r, s, t, seed, max_attempts):
     raise SearchInconclusive(
         f"no ({r},{s},{t}) generating triple of {G.descriptor()} found in "
         f"{max_attempts} random attempts (inconclusive)")
-
-
-def _sym_element(G, k):
-    from .perms import even_order_partition, permutation_of_shape
-    # symmetric handle: any permutation of order k, even or odd
-    for parity_even in (True, False):
-        part = even_order_partition(G.n, k) if parity_even else _odd_order_partition(G.n, k)
-        if part is not None:
-            return permutation_of_shape(G.n, part)
-    raise Unrealizable(f"no permutation of order {k} on {G.n} points")
-
-
-def _odd_order_partition(n, k):
-    from .perms import even_order_partition
-    # an odd permutation of order k: a part multiset with odd total parity
-    import math as _m
-    divs = [d for d in range(2, k + 1) if k % d == 0]
-    best = [None]
-
-    def search(idx, remaining, lcm, parts, par):
-        if best[0] is not None:
-            return
-        if lcm == k and par == 1:
-            best[0] = tuple(parts)
-            return
-        if idx >= len(divs):
-            return
-        d = divs[idx]
-        for copies in range(remaining // d, -1, -1):
-            search(idx + 1, remaining - copies * d,
-                   _m.lcm(lcm, d) if copies else lcm,
-                   parts + [d] * copies, (par + copies * (d - 1)) % 2)
-            if best[0] is not None:
-                return
-
-    search(0, n, 1, [], 0)
-    return best[0]
 
 
 def _abelian_triple(G, r, s, t):
@@ -411,7 +372,7 @@ def _validate_targets(target_types):
 def search_structure(G: Group, strategy: str = "auto",
                      target_types=None, seed: int = DEFAULT_SEED,
                      max_attempts: int = 200_000,
-                     pair_cap: int = 2_000_000) -> SearchOutcome:
+                     pair_cap: int = PAIR_CAP) -> SearchOutcome:
     """Find an unmixed Beauville structure, or certify nonexistence.
 
     Strategies: 'exhaustive' enumerates generating pairs with the first
@@ -454,45 +415,66 @@ def _outcome(G, quad, t0, stats):
     return SearchOutcome(True, quad, report, None, stats)
 
 
-def _class_representatives(G):
-    seen = {}
-    for m in G.elements():
-        fp = G.fingerprint(m)
-        if fp not in seen:
-            seen[fp] = m
-    return list(seen.values())
+@dataclass
+class PairCensus:
+    """Achievable Sigma sets of the class-reduced generating pairs of G.
 
-
-def _exhaustive_search(G, targets, pair_cap, t0):
-    """Class-reduced exhaustive enumeration of achievable Sigma sets.
-
-    Every pair (x, y) may be conjugated simultaneously without changing
-    generation, type or Sigma fingerprints, so x ranges over class
-    representatives only while y ranges over the whole group.  A structure
-    exists iff two achievable Sigma sets are disjoint (each nonempty).
+    ``weights`` maps each Sigma fingerprint set to the number of generating
+    pairs (x, y) of G (of a target type, when targets are given) that reach
+    it; ``examples`` maps it to the first pair reached per sorted type.  The counts are those of the reduced
+    enumeration: ``pairs_checked`` pairs, of which ``generating_pairs``
+    generate, with x over ``representatives`` non-identity classes.
     """
-    ident = G.identity()
-    reps = [m for m in _class_representatives(G) if m != ident]
+    weights: dict
+    examples: dict
+    pairs_checked: int
+    generating_pairs: int
+    representatives: int
+
+
+def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
+    """Enumerate generating pairs with x over non-identity class
+    representatives and y over all of G.
+
+    Simultaneous conjugation of (x, y) preserves generation, type and Sigma
+    fingerprints, so each representative stands for its whole class and
+    weighs the class size.  With ``targets``, Sigma is computed only for
+    pairs whose sorted type is one of the two targets.
+    """
+    reps = ClassPartition(G).classes[1:]  # the identity class is first
     elements = list(G.elements())
-    if len(reps) * len(elements) > pair_cap:
-        raise CapExceeded(
-            f"exhaustive search needs {len(reps) * len(elements)} pairs, "
-            f"cap is {pair_cap}", required=len(reps) * len(elements), cap=pair_cap)
-    achievable: dict = {}  # sigma fingerprint set -> {type: one example pair}
-    pairs = gen_pairs = 0
-    for x in reps:
+    required = len(reps) * len(elements)
+    if required > pair_cap:
+        raise CapExceeded(f"pair census needs {required} pairs, cap is {pair_cap}",
+                          required=required, cap=pair_cap)
+    weights: dict = {}
+    examples: dict = {}
+    gen_pairs = 0
+    for cls in reps:
+        x, order_x = cls.representative, cls.element_order
         for y in elements:
-            pairs += 1
             if not G.generates(x, y):
                 continue
             gen_pairs += 1
             z = G.inverse(G.multiply(x, y))
-            tau = tuple(sorted((G.order_of(x), G.order_of(y), G.order_of(z))))
+            tau = tuple(sorted((order_x, G.order_of(y), G.order_of(z))))
             if targets and tau not in targets:
                 continue
             sig = sigma_prime_fingerprints(G, x, y)
-            achievable.setdefault(sig, {}).setdefault(tau, (x, y))
+            weights[sig] = weights.get(sig, 0) + cls.size
+            examples.setdefault(sig, {}).setdefault(tau, (x, y))
+    return PairCensus(weights, examples, required, gen_pairs, len(reps))
+
+
+def _exhaustive_search(G, targets, pair_cap, t0):
+    """A structure exists iff two achievable Sigma sets of the pair census
+    are disjoint, so an empty scan is a nonexistence certificate."""
+    census = pair_census(G, pair_cap, targets)
+    achievable = census.examples
     sigmas = list(achievable)
+    counts = {"pairs_checked": census.pairs_checked,
+              "generating_pairs": census.generating_pairs,
+              "distinct_sigma_sets": len(sigmas)}
     for i, s1 in enumerate(sigmas):
         for s2 in sigmas[i:]:
             if s1 & s2:
@@ -504,22 +486,17 @@ def _exhaustive_search(G, targets, pair_cap, t0):
                     if targets and (tau2, tau1) == targets and (tau1, tau2) != targets:
                         x1, y1, x2, y2 = x2, y2, x1, y1
                     quad = (x1, y1, x2, y2)
-                    return _outcome(G, quad, t0, {
-                        "strategy": "exhaustive", "pairs_checked": pairs,
-                        "generating_pairs": gen_pairs,
-                        "distinct_sigma_sets": len(sigmas)})
+                    return _outcome(G, quad, t0, {"strategy": "exhaustive", **counts})
     certificate = {
         "conclusion": ("no unmixed Beauville structure: no two generating "
                        "pairs have disjoint power-class sets"
                        + (" for the requested types" if targets else "")),
-        "pairs_checked": pairs,
-        "generating_pairs": gen_pairs,
-        "distinct_sigma_sets": len(sigmas),
-        "class_representatives": len(reps),
+        **counts,
+        "class_representatives": census.representatives,
         "exhaustive": True,
     }
     return SearchOutcome(False, None, None, certificate, {
-        "strategy": "exhaustive", "pairs_checked": pairs,
+        "strategy": "exhaustive", "pairs_checked": census.pairs_checked,
         "elapsed": time.perf_counter() - t0})
 
 

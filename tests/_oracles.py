@@ -2,7 +2,10 @@
 fast paths are checked against."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from beauville.groups import brute_conjugacy_partition
+from beauville.structures import sigma_prime_fingerprints
 
 
 def fingerprint_partition(G, elements=None):
@@ -16,6 +19,20 @@ def fingerprint_partition(G, elements=None):
 
 def brute_partition(G, elements=None):
     return {frozenset(c) for c in brute_conjugacy_partition(G, elements)}
+
+
+def exact_probability_all_pairs(G):
+    """P(G) from every ordered generating pair, without class reduction."""
+    elements = list(G.elements())
+    weights = {}
+    for x in elements:
+        for y in elements:
+            if G.generates(x, y):
+                sig = sigma_prime_fingerprints(G, x, y)
+                weights[sig] = weights.get(sig, 0) + 1
+    total = sum(w1 * w2 for s1, w1 in weights.items()
+                for s2, w2 in weights.items() if not s1 & s2)
+    return Fraction(total, G.order ** 4)
 
 
 def subfield_elements(G, d):

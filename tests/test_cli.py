@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -55,6 +56,16 @@ def test_malformed_element_exit_2(capsys):
     code = run(["verify", "--group", "ab:5", "--quad", "(1,0);(0,1);junk;(1,1)"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "stats"])
+@pytest.mark.parametrize("flag", ["--samples", "--workers"])
+def test_nonpositive_count_exit_2(capsys, command, flag):
+    argv = [command, "--group", "ab:5", "--samples", "10", flag, "0"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
 def test_cap_violation_exit_3(capsys):
@@ -207,11 +218,58 @@ def test_chartable_cache_roundtrip(capsys, tmp_path, monkeypatch):
     assert doc["result"]["count"] == doc_b["result"]["count"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--group", "alt:5", "--s", "2"],
+    ["chartable", "--group", "alt:5", "--save"],
+], ids=lambda a: a[0])
+def test_corrupt_table_cache_is_recomputed(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+    code, clean = _run(capsys, argv + ["--format", "json", "--no-timing"])
+    assert code == 0
+    path = tmp_path / "alt_5.json"
+    path.write_text("{bad")
+    code = run(argv + ["--format", "json", "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == clean
+    assert "warning:" in captured.err and str(path) in captured.err
+    if "--save" in argv:
+        json.loads(path.read_text())  # replaced by a valid table
+        assert sorted(os.listdir(tmp_path)) == ["alt_5.json"]
+
+
+# sha256 of the --no-timing --format json stdout, recorded before the pair
+# census and the Monte Carlo sampling loops were each merged into one code path
+PINNED_DIGESTS = [
+    (["search", "--group", "ab:5", "--strategy", "exhaustive"],
+     "4123ee3a5324e1abc4a8695ca46627592b567731292170eebf6b0b67b847e729"),
+    (["search", "--group", "ab:6", "--strategy", "exhaustive"],
+     "e5360e37ac775378ccf33f663d1ca2545fc590a7ba222911e2f8b7c50dfc47d3"),
+    (["search", "--group", "ab:7", "--strategy", "exhaustive"],
+     "04ee9bbdb3ccdfeabe01765374f776437a5180e655d0f2933cb996153cbf296f"),
+    (["search", "--group", "alt:5", "--strategy", "exhaustive"],
+     "49a79b06b08f33096acfce8dc960ac6bf9cb5aa8d474fc442c4ccae6412d1d47"),
+    (["estimate", "--group", "ab:5", "--samples", "300"],
+     "c25592a7e0d457c7fd1afab0c8cceaaa618ece27e24953975b7c434f0aa258f9"),
+    (["estimate", "--group", "ab:5", "--samples", "300", "--workers", "2"],
+     "e6103732b361b9bbccb988734f398c73a8f51ec3111cbc315a48fa0099d770a6"),
+    (["stats", "--group", "psl2:13", "--samples", "300"],
+     "177c0b4aedbb9259d6fe49469234d2c141c9b962aec6c6242bfee315dba2b4ac"),
+    (["stats", "--group", "psl2:13", "--samples", "300", "--workers", "2"],
+     "3e41830b5ca5049a5b712f668d0c6bae726bc4918ff536de7ffbc657af074c1d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS])
+def test_pinned_json_output(capsys, argv, digest):
+    _, out = _run(capsys, argv + ["--no-timing", "--format", "json"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_tsv_formats(capsys):
-    code, out = _run(capsys, ["estimate", "--group", "ab:5", "--samples", "100",
+    code, out = _run(capsys, ["estimate", "--group", "ab:5", "--samples", "200",
                               "--format", "tsv", "--no-timing"])
-    fields = out.strip().split("\t")
-    assert fields[0] == "ab:5" and fields[1] == "100"
+    assert out == "ab:5\t200\t1729\t4\t0.020000\t0.007804\t0.050287\n"
     code, out = _run(capsys, ["zeta", "--group", "alt:5", "--s", "2",
                               "--format", "tsv", "--no-timing"])
     assert out.startswith("alt:5\t2.0\t1.32472")

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from beauville.groups import GroupError, closure
 from beauville.perms import (BSGS, AlternatingGroup, SymmetricGroup,
                              construct_almost_homogeneous, cycle_type,
-                             even_order_partition, format_cycles,
-                             format_shape, parse_cycles, parity, perm_inv,
+                             format_cycles, format_shape, order_partition,
+                             parse_cycles, parity, perm_inv,
                              perm_mul, perm_order, permutation_of_shape,
                              select_six_shapes)
 
@@ -171,18 +171,36 @@ def test_six_shapes_powers_never_conjugate_across_shapes():
 
 
 def test_even_order_partition_exactness():
-    assert even_order_partition(5, 7) is None
-    assert even_order_partition(7, 7) == (7,)
-    assert even_order_partition(6, 6) is None       # A6 has no order 6
-    assert even_order_partition(7, 6) is not None   # (2,2,3) on 7 points
-    assert even_order_partition(5, 4) is None       # A5 has no order 4
-    assert even_order_partition(6, 4) is not None   # (4,2)
+    assert order_partition(5, 7, 0) is None
+    assert order_partition(7, 7, 0) == (7,)
+    assert order_partition(6, 6, 0) is None       # A6 has no order 6
+    assert order_partition(7, 6, 0) is not None   # (2,2,3) on 7 points
+    assert order_partition(5, 4, 0) is None       # A5 has no order 4
+    assert order_partition(6, 4, 0) is not None   # (4,2)
+    assert order_partition(5, 1, 0) == () and order_partition(5, 1, 1) is None
+    assert order_partition(5, 4, 1) == (4,)
     # cross-check against a brute scan of element orders
     for n in (5, 6, 7):
         g = AlternatingGroup(n)
         present = {g.order_of(m) for m in g.elements()}
         claimed = {k for k in range(1, math.lcm(*range(1, n + 1)) + 1)
-                   if even_order_partition(n, k) is not None} | {1}
+                   if order_partition(n, k, 0) is not None} | {1}
+        assert claimed == present
+
+
+def test_symmetric_element_of_order_falls_back_to_odd():
+    g = SymmetricGroup(5)
+    assert parity(g.element_of_order(3)) == 0
+    for k in (4, 6):  # only odd permutations of S5 have these orders
+        m = g.element_of_order(k)
+        assert perm_order(m) == k and parity(m) == 1
+    with pytest.raises(GroupError, match="no permutation of order 7"):
+        g.element_of_order(7)
+    # odd shapes against a brute scan of odd element orders
+    for n in (5, 6):
+        present = {perm_order(m) for m in SymmetricGroup(n).elements() if parity(m)}
+        claimed = {k for k in range(1, math.lcm(*range(1, n + 1)) + 1)
+                   if order_partition(n, k, 1) is not None}
         assert claimed == present
 
 

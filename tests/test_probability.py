@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from beauville.groups import AbelianSquare
+from beauville.groups import AbelianSquare, parse_group
 from beauville.perms import AlternatingGroup
 from beauville.psl2 import PSL2
 from beauville.probability import (EstimationConfig,
@@ -57,6 +57,14 @@ def test_exact_probability_psl2_5_is_zero():
 def test_exact_probability_psl2_7_positive():
     p = exact_probability_exhaustive(PSL2(7))
     assert 0 < p < 1
+    assert p == Fraction(29, 3528)
+
+
+@pytest.mark.parametrize("descriptor", ["ab:6", "ab:7", "sym:4", "alt:5", "psl2:7"])
+def test_exact_probability_matches_unreduced_enumeration(descriptor):
+    from _oracles import exact_probability_all_pairs
+    g = parse_group(descriptor)
+    assert exact_probability_exhaustive(g) == exact_probability_all_pairs(g)
 
 
 # -- determinism --------------------------------------------------------------------
@@ -171,8 +179,6 @@ def test_estimate_result_serialization():
     d = res.to_dict()
     assert d["samples"] == 200 and d["seed"] == 8
     assert 0 <= d["estimate"] <= 1
-    line = res.tsv_line()
-    assert line.startswith("ab:5\t200\t")
 
 
 def test_alt_n_trend_reported_without_limit_assertion():

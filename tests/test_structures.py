@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from beauville.groups import AbelianSquare, GroupError, parse_group
-from beauville.perms import AlternatingGroup
+from beauville.perms import AlternatingGroup, SymmetricGroup
 from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
                                   classify_triangle, find_generating_triple,
@@ -85,6 +85,8 @@ def test_perm_triple_and_unrealizable():
     assert (g.order_of(tri.x), g.order_of(tri.y), g.order_of(tri.z)) == (4, 4, 4)
     with pytest.raises(Unrealizable):
         find_generating_triple(AlternatingGroup(5), 4, 5, 5)  # no order 4 in A5
+    with pytest.raises(Unrealizable, match="no permutation of order 7"):
+        find_generating_triple(SymmetricGroup(5), 2, 5, 7)
 
 
 def test_abelian_triple():
