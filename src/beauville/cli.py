@@ -83,6 +83,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _split_elements(G: Group, text: str, expected: int):
     parts = [p for p in text.split(";") if p.strip()]
     if len(parts) != expected:
@@ -187,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zeta", parents=[common],
                        help="Witten zeta: sum of degree**(-s) over Irr(G)")
     p.add_argument("--group", required=True)
-    p.add_argument("--s", type=float, required=True)
+    p.add_argument("--s", type=_positive_float, required=True)
     p.add_argument("--cap-table", type=int, default=TABLE_CAP)
 
     p = sub.add_parser("hurwitz", parents=[common],

@@ -73,7 +73,6 @@ class ClassPartition:
             ClassData(i, fp, len(ms), ms[0], group.order_of(ms[0]))
             for i, (fp, ms) in enumerate(keyed)]
         self._members = [ms for _, ms in keyed]
-        self.index_of = {c.fingerprint: c.index for c in self.classes}
         self.element_class = {
             m: i for i, ms in enumerate(self._members) for m in ms}
         assert sum(c.size for c in self.classes) == group.order

@@ -546,8 +546,9 @@ def gf(p: int, e: int = 1) -> GF:
 
 def parse_field_descriptor(text: str) -> GF:
     """Parse 'p' or 'p^e' into a field."""
-    text = text.strip()
-    if "^" in text:
-        p_s, _, e_s = text.partition("^")
-        return gf(int(p_s), int(e_s))
-    return gf(int(text))
+    p_s, caret, e_s = text.strip().partition("^")
+    try:
+        p, e = int(p_s), int(e_s) if caret else 1
+    except ValueError:
+        raise FieldError(f"malformed field descriptor {text!r}; expected p or p^e") from None
+    return gf(p, e)

@@ -281,14 +281,15 @@ def parse_group(descriptor: str) -> Group:
     kind, _, arg = descriptor.partition(":")
     if not arg:
         raise GroupError(f"malformed group descriptor {descriptor!r}")
-    if kind == "ab":
-        return AbelianSquare(int(arg))
-    if kind == "alt":
-        from .perms import AlternatingGroup
-        return AlternatingGroup(int(arg))
-    if kind == "sym":
-        from .perms import SymmetricGroup
-        return SymmetricGroup(int(arg))
+    if kind in ("ab", "alt", "sym"):
+        try:
+            n = int(arg)
+        except ValueError:
+            raise GroupError(f"malformed group descriptor {descriptor!r}") from None
+        if kind == "ab":
+            return AbelianSquare(n)
+        from .perms import AlternatingGroup, SymmetricGroup
+        return (AlternatingGroup if kind == "alt" else SymmetricGroup)(n)
     if kind == "psl2":
         from .fields import FieldError, parse_field_descriptor
         from .psl2 import PSL2

@@ -51,11 +51,6 @@ class SubgroupClass:
         return self.kind
 
 
-class TraceTripleUnsolvable(RuntimeError):
-    """No SL2 triple with the requested traces was found; the sweep is
-    exhaustive, so reaching this indicates an implementation bug."""
-
-
 class PSL2(Group):
     kind = "psl2"
 
@@ -111,9 +106,7 @@ class PSL2(Group):
         ))
 
     def inverse(self, m):
-        F = self.field
-        a, b, c, d = m
-        return self._canon((d, F.neg(b), F.neg(c), a))
+        return self._canon(self._mat_inv(m))
 
     def trace(self, m):
         """Trace of the canonical lift."""
@@ -141,8 +134,6 @@ class PSL2(Group):
     def lucas_trace(self, k: int, a):
         """Trace of the k-th power of an element of trace a (Lucas V_k)."""
         F = self.field
-        if k == 0:
-            return F.two
         v0, v1 = F.two, a  # (V_j, V_{j+1}) with j built from the bits of k
         for bit in bin(k)[2:]:
             if bit == "0":
@@ -162,12 +153,6 @@ class PSL2(Group):
             return F.absolute_trace(u) == 0
         disc = F.sub(F.mul(a, a), F.of_int(4))
         return F.is_square(disc)
-
-    def order_from_trace(self, a) -> frozenset[int]:
-        """Projective orders of elements whose SL2 lift has trace a."""
-        if self._is_pm2(a):
-            return frozenset((1, self.p))
-        return frozenset((self._semisimple_order(a),))
 
     def _semisimple_order(self, a) -> int:
         if self.is_split_trace(a):
@@ -265,34 +250,18 @@ class PSL2(Group):
         s = F.sub(s, F.mul(F.mul(a, b), g))
         return F.sub(s, F.of_int(4)) == 0
 
-    def solve_trace_triple(self, a, b, g, variant: int = 0):
-        """Matrices (A, B, C) in SL2(q) with traces (a, b, g) and ABC = I.
-
-        Deterministic: candidate solutions are produced in a fixed sweep
-        order (each trace rotated into companion position, the free entry
-        swept in encoding order, quadratic roots in sorted order, then the
-        scalar-lift fallbacks) and the variant-th one is returned.  Raises
-        TraceTripleUnsolvable only if the full sweep is empty, which the
-        existence theorem rules out for variant 0.
-        """
-        count = 0
-        for sol in self._trace_solutions(a, b, g):
-            if count == variant:
-                A, B, C = sol
-                assert self._triple_ok(A, B, C, a, b, g)
-                return sol
-            count += 1
-        if variant == 0:
-            raise TraceTripleUnsolvable(
-                f"no SL2({self.q}) triple with traces "
-                f"({self.field.format(a)},{self.field.format(b)},{self.field.format(g)})")
-        raise IndexError(f"only {count} trace-triple solutions available")
+    def solve_trace_triple(self, a, b, g):
+        """Matrices (A, B, C) in SL2(q) with traces (a, b, g) and ABC = I:
+        the first solution of the deterministic sweep ``_trace_solutions``,
+        which its lemma proves non-empty."""
+        sol = next(self._trace_solutions(a, b, g), None)
+        assert sol is not None, "empty trace sweep contradicts the _trace_solutions lemma"
+        assert self._triple_ok(*sol, a, b, g)
+        return sol
 
     def _triple_ok(self, A, B, C, a, b, g):
-        F = self.field
-        tr = lambda m: F.add(m[0], m[3])
         prod = self._mat_mul(self._mat_mul(A, B), C)
-        return (tr(A) == a and tr(B) == b and tr(C) == g
+        return ((self.trace(A), self.trace(B), self.trace(C)) == (a, b, g)
                 and prod == (1, 0, 0, 1)
                 and all(self.determinant(m) == 1 for m in (A, B, C)))
 
@@ -310,36 +279,27 @@ class PSL2(Group):
         a, b, c, d = m
         return (d, F.neg(b), F.neg(c), a)
 
-    @staticmethod
-    def _rotate_back(sol, rot):
-        # a solution for the rot-th cyclic rotation of the traces, mapped
-        # back: (A,B,C) for (b,g,a) becomes (C,A,B) for (a,b,g), etc.
-        A, B, C = sol
-        if rot == 0:
-            return (A, B, C)
-        if rot == 1:
-            return (C, A, B)
-        return (B, C, A)
-
     def _trace_solutions(self, a, b, g):
-        rotations = ((a, b, g), (b, g, a), (g, a, b))
-        for rot, traces in enumerate(rotations):
-            for sol in self._companion_solutions(*traces):
-                yield self._rotate_back(sol, rot)
-        F = self.field
-        ident = (1, 0, 0, 1)
-        # scalar lifts, reachable only with a +-2 trace: A = I forces
-        # tr C = tr B, A = -I forces tr C = -tr B
-        for rot, (x, y, z) in enumerate(rotations):
-            B = (0, F.minus_one, 1, y)
-            if x == F.two and z == y:
-                sol = (ident, B, self._mat_inv(B))
-            elif x == F.minus_two and z == F.neg(y) and self.d == 2:
-                neg = lambda m: tuple(F.neg(v) for v in m)
-                sol = (neg(ident), B, neg(self._mat_inv(B)))
-            else:
-                continue
-            yield self._rotate_back(sol, rot)
+        """Solutions from A = companion(a), then those of the rotation
+        (b, g, a) mapped back to (C, A, B).
+
+        Lemma: for q >= 4 this is never empty.  The sweep value s (entry
+        (1,1) of B) works iff r**2 + c1*r + c0 has a root, with
+        c1 = g - ab + as and c0 = s**2 - bs + 1 (``_companion_solutions``).
+        Odd q, a != +-2: D(s) = c1**2 - 4*c0 is quadratic in s with leading
+        coefficient a**2 - 4 != 0, so a character-sum count shows it is a
+        square (0 included) for some s.  Odd q, a = 2e with e = +-1:
+        D(s) = (g - 2eb)**2 - 4 + 4e(g - eb)s hits 0 unless g = eb, where D
+        is the constant b**2 - 4; if that is a non-square, b != +-2 and the
+        rotation succeeds.  Even q: for a != 0 the s with c1 = 0 works; for
+        a = 0 != g a root exists iff the absolute trace condition
+        Tr(1/g**2) + Tr(s(g + b)/g**2) = 0 holds, which fails for every s
+        only when g = b and Tr(1/b) = 1, and then b != 0 and the rotation
+        succeeds.
+        """
+        yield from self._companion_solutions(a, b, g)
+        for A, B, C in self._companion_solutions(b, g, a):
+            yield (C, A, B)
 
     def _companion_solutions(self, x, y, z):
         """All B completing A = companion(x) with tr B = y, tr AB = z,
@@ -513,19 +473,27 @@ class PSL2(Group):
         menu.update(self.traces_by_order().keys())
         return menu
 
-    def element_of_order(self, k: int):
-        """A canonical witness of exact projective order k."""
-        if k == 1:
-            return self.identity()
+    def traces_of_order(self, k: int) -> list[int]:
+        """SL2 traces of the elements of exact projective order k > 1, in
+        encoding order; GroupError when no element has order k."""
+        F = self.field
         if k == self.p:
-            return self._canon((1, 1, 0, 1))
+            return [F.two] if self.d == 1 else [F.two, F.minus_two]
         traces = self.traces_by_order().get(k)
         if not traces:
             raise GroupError(
                 f"order {k} not realizable in {self.descriptor()}: orders are "
                 f"1, p = {self.p}, divisors of {self.split_order} and of "
                 f"{self.nonsplit_order}")
-        a = traces[0]
+        return traces
+
+    def element_of_order(self, k: int):
+        """A canonical witness of exact projective order k."""
+        if k == 1:
+            return self.identity()
+        if k == self.p:
+            return self._canon((1, 1, 0, 1))
+        a = self.traces_of_order(k)[0]
         return self._canon((0, self.field.minus_one, 1, a))
 
     # -- text encoding ---------------------------------------------------------------

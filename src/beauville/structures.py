@@ -111,20 +111,6 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
     return frozenset(out)
 
 
-def sigma_full_fingerprints(G: Group, x, y) -> frozenset:
-    """All nontrivial power classes (the full Sigma set as classes); used
-    as the oracle for the prime-order reduction on small groups."""
-    z = G.inverse(G.multiply(x, y))
-    ident = G.identity()
-    out = set()
-    for g in (x, y, z):
-        cur = g
-        while cur != ident:
-            out.add(G.fingerprint(cur))
-            cur = G.multiply(cur, g)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -265,20 +251,11 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
     return _abelian_triple(G, r, s, t)
 
 
-def _psl2_trace_candidates(G, k):
-    F = G.field
-    if k == G.p:
-        return [F.two] if G.d == 1 else [F.two, F.minus_two]
-    traces = G.traces_by_order().get(k)
-    if not traces:
-        raise Unrealizable(
-            f"order {k} not realizable in {G.descriptor()}: orders are 1, "
-            f"p = {G.p}, divisors of {G.split_order} and of {G.nonsplit_order}")
-    return traces
-
-
 def _psl2_triple(G, r, s, t):
-    cand = [_psl2_trace_candidates(G, k) for k in (r, s, t)]
+    try:
+        cand = [G.traces_of_order(k) for k in (r, s, t)]
+    except GroupError as exc:
+        raise Unrealizable(str(exc)) from exc
     for a, b, g in product(*cand):
         if G.is_singular_triple(a, b, g):
             continue
@@ -441,12 +418,16 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     weighs the class size.  With ``targets``, Sigma is computed only for
     pairs whose sorted type is one of the two targets.
     """
+    seen = set()  # refuse once (classes seen - 1) * |G| pairs exceed the cap
+    for m in G.elements():
+        seen.add(G.fingerprint(m))
+        required = (len(seen) - 1) * G.order
+        if required > pair_cap:
+            raise CapExceeded(
+                f"pair census needs at least {required} pairs, cap is {pair_cap}",
+                required=required, cap=pair_cap)
     reps = ClassPartition(G).classes[1:]  # the identity class is first
     elements = list(G.elements())
-    required = len(reps) * len(elements)
-    if required > pair_cap:
-        raise CapExceeded(f"pair census needs {required} pairs, cap is {pair_cap}",
-                          required=required, cap=pair_cap)
     weights: dict = {}
     examples: dict = {}
     gen_pairs = 0
@@ -546,12 +527,9 @@ def _macbeath_search(G, targets, t0):
         m, n, p = G.split_order, G.nonsplit_order, G.p
         candidates = []
         for tau1, tau2 in (((m, m, m), (n, n, n)), ((m, m, m), (n, n, p))):
-            try:
-                if (classify_triangle(*tau1).kind == "hyperbolic"
-                        and classify_triangle(*tau2).kind == "hyperbolic"):
-                    candidates.append((tuple(sorted(tau1)), tuple(sorted(tau2))))
-            except GroupError:
-                continue
+            if (classify_triangle(*tau1).kind == "hyperbolic"
+                    and classify_triangle(*tau2).kind == "hyperbolic"):
+                candidates.append((tuple(sorted(tau1)), tuple(sorted(tau2))))
         candidates.extend(_coprime_type_pairs(G))
     attempts = 0
     last_error = None

@@ -21,6 +21,21 @@ def brute_partition(G, elements=None):
     return {frozenset(c) for c in brute_conjugacy_partition(G, elements)}
 
 
+def sigma_full_fingerprints(G, x, y):
+    """All nontrivial power classes of x, y and z = (x*y)**-1 (the full
+    Sigma set as classes), against which the prime-order reduction is
+    checked on small groups."""
+    z = G.inverse(G.multiply(x, y))
+    ident = G.identity()
+    out = set()
+    for g in (x, y, z):
+        cur = g
+        while cur != ident:
+            out.add(G.fingerprint(cur))
+            cur = G.multiply(cur, g)
+    return frozenset(out)
+
+
 def exact_probability_all_pairs(G):
     """P(G) from every ordered generating pair, without class reduction."""
     elements = list(G.elements())

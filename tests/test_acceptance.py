@@ -18,10 +18,10 @@ from beauville.probability import (estimate_beauville_probability,
                                    exact_probability_exhaustive)
 from beauville.structures import (find_generating_triple,
                                   is_hurwitz_psl2, search_structure,
-                                  sigma_full_fingerprints,
                                   sigma_prime_fingerprints, verify_quadruple)
 
-from _oracles import brute_partition, crafted_psl2_pairs, fingerprint_partition
+from _oracles import (brute_partition, crafted_psl2_pairs, fingerprint_partition,
+                      sigma_full_fingerprints)
 
 
 def _report(num, text):

@@ -68,6 +68,21 @@ def test_nonpositive_count_exit_2(capsys, command, flag):
     assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classes", "--group", "ab:x"],
+    ["classes", "--group", "psl2:4^x"],
+    ["zeta", "--group", "psl2:7", "--s", "0"],
+    ["zeta", "--group", "psl2:7", "--s", "-1"],
+], ids=["ab:x", "psl2:4^x", "s=0", "s=-1"])
+def test_malformed_number_exit_2(capsys, argv):
+    try:
+        code = run(argv)
+    except SystemExit as exc:  # argparse rejects --s itself
+        code = exc.code
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cap_violation_exit_3(capsys):
     code = run(["classes", "--group", "alt:9", "--cap-enumeration", "1000"])
     assert code == 3

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -49,14 +50,6 @@ def test_split_type_consistent_with_order_divisibility(p, e):
             assert k == p
         else:
             assert k == 1
-
-
-def test_order_from_trace():
-    g = PSL2(7)
-    assert g.order_from_trace(g.field.two) == {1, 7}
-    assert g.order_from_trace(g.field.minus_two) == {1, 7}
-    m = g.element_of_order(4)
-    assert g.order_from_trace(g.trace(m)) == {4}
 
 
 def test_find_element_of_order_witnesses():
@@ -148,12 +141,55 @@ def test_trace_solver_gf5_matches_brute_force():
 
 
 def test_trace_solver_identity_trace_case():
-    # (2, b, g) with b == g admits the scalar lift A = I
+    # (2, b, b) with b^2 - 4 = 5 a non-square mod 7: no B completes
+    # companion(2), so the solution comes from the rotation (b, g, a) and
+    # its middle matrix is companion(3)
     g = PSL2(7)
     A, B, C = g.solve_trace_triple(2, 3, 3)
     F = g.field
     assert F.add(A[0], A[3]) == 2
+    assert B == (0, F.minus_one, 1, 3)
     assert g._mat_mul(g._mat_mul(A, B), C) == (1, 0, 0, 1)
+
+
+# sha256 over repr(solve_trace_triple(a, b, g)) for every triple in
+# encoding order: pins which solution the deterministic sweep returns
+PINNED_SOLVER_DIGESTS = {
+    (7, 1): "0f810d760518c385adfdc4cb8f061a2af627a4bce429c95253791528805bfcf8",
+    (2, 3): "6ea0b028bfe1e869c810963de75a28e152551a7eef55e4d58760f9f9b0c22a2c",
+    (3, 2): "da522464af9093baeed66f6bb10248d7d255fdd5d22d6c9e623ddd83a64c86ba",
+    (11, 1): "7a1c8523b9471aa55473bf1f00acc2a930d40e584f8deb735771bb007af1478e",
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(PINNED_SOLVER_DIGESTS))
+def test_trace_solver_pinned_digest(p, e):
+    g = PSL2(p, e)
+    F = g.field
+    h = hashlib.sha256()
+    for a in F.elements():
+        for b in F.elements():
+            for c in F.elements():
+                h.update(repr(g.solve_trace_triple(a, b, c)).encode())
+    assert h.hexdigest() == PINNED_SOLVER_DIGESTS[(p, e)]
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                                 (13, 1), (2, 4), (17, 1), (19, 1), (23, 1),
+                                 (5, 2), (3, 3)])
+def test_trace_solver_postcondition_every_triple(p, e):
+    # every trace triple of every field with q <= 27 is solved (the
+    # two-rotation companion sweep is complete)
+    g = PSL2(p, e)
+    F = g.field
+    tr = lambda m: F.add(m[0], m[3])
+    for a in F.elements():
+        for b in F.elements():
+            for c in F.elements():
+                A, B, C = g.solve_trace_triple(a, b, c)
+                assert (tr(A), tr(B), tr(C)) == (a, b, c)
+                assert g._mat_mul(g._mat_mul(A, B), C) == (1, 0, 0, 1)
+                assert all(g.determinant(m) == 1 for m in (A, B, C))
 
 
 # -- conjugacy fingerprints -----------------------------------------------------
@@ -298,12 +334,3 @@ def test_canonical_payloads_unique():
     assert len(els) == len(set(els)) == g.order
     for m in els[:200]:
         g.check_element(m)
-
-
-def test_solver_variant_indexing():
-    g = PSL2(11)
-    s0 = g.solve_trace_triple(3, 4, 5, variant=0)
-    s1 = g.solve_trace_triple(3, 4, 5, variant=1)
-    assert s0 != s1
-    with pytest.raises(IndexError):
-        g.solve_trace_triple(3, 4, 5, variant=10**6)

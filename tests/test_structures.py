@@ -8,9 +8,10 @@ from beauville.perms import AlternatingGroup, SymmetricGroup
 from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
                                   classify_triangle, find_generating_triple,
-                                  is_hurwitz_psl2, search_structure,
-                                  sigma_full_fingerprints,
+                                  is_hurwitz_psl2, pair_census, search_structure,
                                   sigma_prime_fingerprints, verify_quadruple)
+
+from _oracles import sigma_full_fingerprints
 
 
 # -- triangle types ------------------------------------------------------------
@@ -65,6 +66,8 @@ def test_psl2_7_hurwitz_triple():
     assert g.multiply(g.multiply(tri.x, tri.y), tri.z) == g.identity()
     assert (g.order_of(tri.x), g.order_of(tri.y), g.order_of(tri.z)) == (2, 3, 7)
     assert g.generates(tri.x, tri.y)
+    with pytest.raises(Unrealizable, match="order 5 not realizable in psl2:7"):
+        find_generating_triple(g, 2, 3, 5)
 
 
 def test_a5_has_no_order_7():
@@ -224,6 +227,23 @@ def test_exhaustive_pair_cap():
     from beauville.groups import CapExceeded
     with pytest.raises(CapExceeded):
         search_structure(PSL2(13), "exhaustive", pair_cap=100)
+
+
+def test_pair_census_refuses_before_enumerating_the_group():
+    from beauville.groups import CapExceeded
+    g = PSL2(101)
+    calls = 0
+    fingerprint = g.fingerprint
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return fingerprint(m)
+
+    g.fingerprint = counted
+    with pytest.raises(CapExceeded, match="at least"):
+        pair_census(g)
+    assert calls < 1000
 
 
 def test_random_search_inconclusive_on_a5():
