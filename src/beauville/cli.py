@@ -8,8 +8,8 @@ identical output.  --no-timing strips elapsed fields for byte-identical
 reruns.
 
 Exit codes: 0 success with a positive verdict; 1 verified-false, not
-found, nonexistence or not-Hurwitz; 2 usage or malformed input; 3 cap
-violations.
+found, nonexistence or not-Hurwitz; 2 usage or malformed input; 3 cap or
+tolerance exceeded.
 
 Quadruples and pairs are ';'-separated element encodings (matrix, cycle
 or pair syntax per the group).  Character tables persist under
@@ -43,8 +43,14 @@ def cache_dir() -> str:
         os.path.join(os.path.expanduser("~"), ".cache", "beauville"))
 
 
+TABLE_FORMAT = 1  # bump when the CharacterTable JSON layout changes
+
+
 def _table_path(descriptor: str) -> str:
-    return os.path.join(cache_dir(), descriptor.replace(":", "_").replace("^", "e") + ".json")
+    """Cache file of a group's table; the format version in the name makes a
+    file written in another layout a plain miss."""
+    name = descriptor.replace(":", "_").replace("^", "e")
+    return os.path.join(cache_dir(), f"{name}.v{TABLE_FORMAT}.json")
 
 
 def _load_or_compute_table(G: Group, cap: int, save: bool = True) -> CharacterTable:
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type1", help="target type r,s,t for the first triple")
     p.add_argument("--type2", help="target type r,s,t for the second triple")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=int, default=200_000)
+    p.add_argument("--attempts", type=_positive_int, default=200_000)
     p.add_argument("--cap-pairs", type=int, default=PAIR_CAP)
 
     p = sub.add_parser("triple", parents=[common],
@@ -147,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="psl2 only: comma-separated traces a,b,g; returns "
                         "matrices with those traces and product one")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=int, default=20_000)
+    p.add_argument("--attempts", type=_positive_int, default=20_000)
 
     p = sub.add_parser("classify", parents=[common],
                        help="Dickson class of the subgroup generated by a pair")
@@ -448,7 +454,7 @@ def run(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         result, code = _DISPATCH[args.command](args)
-    except CapExceeded as exc:
+    except (CapExceeded, TableInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (GroupError, FieldError) as exc:

@@ -74,6 +74,7 @@ class PSL2(Group):
         borel = self.q * (self.q - 1) // self.d
         self.proper_subgroup_bound = max(borel, 2 * (self.q + 1) // self.d, 60)
         self._traces_by_order_cache = None
+        self._order_by_trace: dict[int, int] = {}  # filled by _semisimple_order
 
     def descriptor(self):
         return f"psl2:{self.field.descriptor()}"
@@ -155,6 +156,11 @@ class PSL2(Group):
         return F.is_square(disc)
 
     def _semisimple_order(self, a) -> int:
+        """Projective order of the elements of trace a (a != +-2), memoized
+        by trace; only traces actually asked for are computed."""
+        order = self._order_by_trace.get(a)
+        if order is not None:
+            return order
         if self.is_split_trace(a):
             m, factors = self.split_order, self._split_factors
         else:
@@ -163,6 +169,7 @@ class PSL2(Group):
         for r in factors:
             while order % r == 0 and self._is_pm2(self.lucas_trace(order // r, a)):
                 order //= r
+        self._order_by_trace[a] = order
         return order
 
     def order_of(self, m):

@@ -99,8 +99,19 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
     of x, y and z = (x*y)**-1.  Two triples have trivially intersecting
     Sigma sets exactly when these sets are disjoint."""
     z = G.inverse(G.multiply(x, y))
-    out = set()
-    for g in (x, y, z):
+    return (_prime_power_classes(G, x) | _prime_power_classes(G, y)
+            | _prime_power_classes(G, z))
+
+
+def _prime_power_classes(G: Group, g) -> frozenset:
+    """Fingerprints of the prime-order powers of g.  Conjugate elements have
+    conjugate powers, so the set is memoized on the handle under the
+    fingerprint of g and the walk runs once per class."""
+    memo = vars(G).setdefault("_sigma_memo", {})
+    key = G.fingerprint(g)
+    sigma = memo.get(key)
+    if sigma is None:
+        out = set()
         n = G.order_of(g)
         for r in prime_factors(n) if n > 1 else ():
             h = G.power(g, n // r)
@@ -108,7 +119,8 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
             for _ in range(r - 1):
                 out.add(G.fingerprint(cur))
                 cur = G.multiply(cur, h)
-    return frozenset(out)
+        sigma = memo[key] = frozenset(out)
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from beauville.groups import brute_conjugacy_partition
+from beauville.numutil import prime_factors
 from beauville.structures import sigma_prime_fingerprints
 
 
@@ -19,6 +20,23 @@ def fingerprint_partition(G, elements=None):
 
 def brute_partition(G, elements=None):
     return {frozenset(c) for c in brute_conjugacy_partition(G, elements)}
+
+
+def sigma_prime_walk(G, x, y):
+    """The prime-order power classes of x, y and z = (x*y)**-1 walked
+    element by element, without the per-class memo of
+    ``sigma_prime_fingerprints``."""
+    z = G.inverse(G.multiply(x, y))
+    out = set()
+    for g in (x, y, z):
+        n = G.order_of(g)
+        for r in prime_factors(n) if n > 1 else ():
+            h = G.power(g, n // r)
+            cur = h
+            for _ in range(r - 1):
+                out.add(G.fingerprint(cur))
+                cur = G.multiply(cur, h)
+    return frozenset(out)
 
 
 def sigma_full_fingerprints(G, x, y):

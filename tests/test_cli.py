@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from beauville import cli
 from beauville.cli import run
+from beauville.counting import TableInvalid
 
 try:
     import jsonschema
@@ -58,14 +60,25 @@ def test_malformed_element_exit_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["estimate", "stats"])
-@pytest.mark.parametrize("flag", ["--samples", "--workers"])
+COUNT_COMMANDS = {
+    "estimate": ["estimate", "--group", "ab:5", "--samples", "10"],
+    "stats": ["stats", "--group", "ab:5", "--samples", "10"],
+    "search": ["search", "--group", "psl2:7", "--strategy", "random"],
+    "triple": ["triple", "--group", "psl2:7", "--r", "2", "--s", "3", "--t", "7"],
+}
+COUNT_FLAGS = [(flag, command) for command in ("estimate", "stats")
+               for flag in ("--samples", "--workers")]
+COUNT_FLAGS += [("--attempts", "search"), ("--attempts", "triple")]
+
+
+@pytest.mark.parametrize("flag,command", COUNT_FLAGS,
+                         ids=[f"{flag}-{command}" for flag, command in COUNT_FLAGS])
 def test_nonpositive_count_exit_2(capsys, command, flag):
-    argv = [command, "--group", "ab:5", "--samples", "10", flag, "0"]
-    with pytest.raises(SystemExit) as exc:
-        run(argv)
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+    for value in ("0", "-5"):
+        with pytest.raises(SystemExit) as exc:
+            run(COUNT_COMMANDS[command] + [flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -241,7 +254,7 @@ def test_corrupt_table_cache_is_recomputed(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
     code, clean = _run(capsys, argv + ["--format", "json", "--no-timing"])
     assert code == 0
-    path = tmp_path / "alt_5.json"
+    path = tmp_path / "alt_5.v1.json"
     path.write_text("{bad")
     code = run(argv + ["--format", "json", "--no-timing"])
     captured = capsys.readouterr()
@@ -249,11 +262,40 @@ def test_corrupt_table_cache_is_recomputed(capsys, tmp_path, monkeypatch, argv):
     assert "warning:" in captured.err and str(path) in captured.err
     if "--save" in argv:
         json.loads(path.read_text())  # replaced by a valid table
-        assert sorted(os.listdir(tmp_path)) == ["alt_5.json"]
+        assert sorted(os.listdir(tmp_path)) == ["alt_5.v1.json"]
 
 
-# sha256 of the --no-timing --format json stdout, recorded before the pair
-# census and the Monte Carlo sampling loops were each merged into one code path
+def test_table_from_an_older_layout_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+    (tmp_path / "alt_5.json").write_text("{bad")  # unversioned name
+    code = run(["chartable", "--group", "alt:5", "--save", "--format", "json",
+                "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["result"]["saved"] == str(tmp_path / "alt_5.v1.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--group", "alt:5"],
+    ["zeta", "--group", "alt:5", "--s", "2"],
+], ids=lambda a: a[0])
+def test_table_invalid_exit_3(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+
+    def refuse(G, cap):
+        raise TableInvalid("row orthogonality failed beyond tolerance")
+
+    monkeypatch.setattr(cli, "character_table", refuse)
+    code = run(argv + ["--format", "json", "--no-timing"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: row orthogonality failed beyond tolerance\n"
+
+
+# sha256 of the --no-timing --format json stdout, each recorded before the
+# change it guards: the merge of the pair census and of the Monte Carlo
+# sampling loops into one code path each (ab, alt, psl2:13), and the
+# class-keyed Sigma and PSL2 order memos (the three large psl2 estimates)
 PINNED_DIGESTS = [
     (["search", "--group", "ab:5", "--strategy", "exhaustive"],
      "4123ee3a5324e1abc4a8695ca46627592b567731292170eebf6b0b67b847e729"),
@@ -271,6 +313,18 @@ PINNED_DIGESTS = [
      "177c0b4aedbb9259d6fe49469234d2c141c9b962aec6c6242bfee315dba2b4ac"),
     (["stats", "--group", "psl2:13", "--samples", "300", "--workers", "2"],
      "3e41830b5ca5049a5b712f668d0c6bae726bc4918ff536de7ffbc657af074c1d"),
+    (["estimate", "--group", "psl2:101", "--samples", "2000", "--workers", "1"],
+     "dac4f77543d863d36fe79abe84868c662dde814faff09f37b21a8787e2a1331e"),
+    (["estimate", "--group", "psl2:101", "--samples", "2000", "--workers", "2"],
+     "fd2dcc2846a278b2468cd5b14791925f75c8d68792f65594f3025c99021cfe56"),
+    (["estimate", "--group", "psl2:2^7", "--samples", "600", "--workers", "1"],
+     "080f10b5a0a77031d35eceb759a157cad51a68848e09e931bcbaa09d82ef6a32"),
+    (["estimate", "--group", "psl2:2^7", "--samples", "600", "--workers", "2"],
+     "87601faf9bab2c049b8ea05a7d035f4fb9e073b49e1d89fa9153a49be1f56cf2"),
+    (["estimate", "--group", "psl2:3^5", "--samples", "500", "--workers", "1"],
+     "8ea7006fae542b352087dae17a12d9df1e5e11c18aa52722ca00affef3fbda90"),
+    (["estimate", "--group", "psl2:3^5", "--samples", "500", "--workers", "2"],
+     "88b327ef0e4748bccfbcd4bffe5be75a85123651645a2356cbeba838c4bb0f79"),
 ]
 
 

@@ -28,6 +28,19 @@ def test_unipotent_order_is_p():
     assert g11.split_type(g11.element_of_order(11)) == "unipotent"
 
 
+@pytest.mark.parametrize("p,e", [(2, 4), (3, 3)])
+def test_order_memo_filled_by_traces_by_order_matches_brute(p, e):
+    g = PSL2(p, e)
+    by_order = g.traces_by_order()
+    # the scan memoized the order of every semisimple trace ...
+    semisimple = [a for a in g.field.elements() if not g._is_pm2(a)]
+    assert sorted(g._order_by_trace) == semisimple
+    assert all(g._order_by_trace[a] == k for k, traces in by_order.items() for a in traces)
+    # ... and order_of answers every element of every class from it
+    for m in g.elements():
+        assert g.order_of(m) == g.order_of_brute(m)
+
+
 def test_split_type_examples_psl2_7():
     g = PSL2(7)
     assert g.split_type(g.element_of_order(3)) == "split"      # 3 = (q-1)/2

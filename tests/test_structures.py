@@ -11,7 +11,7 @@ from beauville.structures import (SearchInconclusive, Unrealizable,
                                   is_hurwitz_psl2, pair_census, search_structure,
                                   sigma_prime_fingerprints, verify_quadruple)
 
-from _oracles import sigma_full_fingerprints
+from _oracles import sigma_full_fingerprints, sigma_prime_walk
 
 
 # -- triangle types ------------------------------------------------------------
@@ -128,6 +128,20 @@ def test_prime_order_reduction_equals_full_sigma(descriptor):
         full_disjoint = not (sigma_full_fingerprints(g, x1, y1)
                              & sigma_full_fingerprints(g, x2, y2))
         assert prime_disjoint == full_disjoint
+
+
+@pytest.mark.parametrize("descriptor",
+                         ["psl2:101", "psl2:2^7", "psl2:3^5", "alt:8", "sym:6", "ab:25"])
+def test_sigma_memo_matches_uncached_walk(descriptor):
+    # one warm handle: later pairs, and the conjugates of every pair, are
+    # answered from classes memoized for other elements
+    g = parse_group(descriptor)
+    rng = random.Random(descriptor)
+    for _ in range(200):
+        x, y, c = g.random_element(rng), g.random_element(rng), g.random_element(rng)
+        assert sigma_prime_fingerprints(g, x, y) == sigma_prime_walk(g, x, y)
+        xc, yc = g.conjugate(c, x), g.conjugate(c, y)
+        assert sigma_prime_fingerprints(g, xc, yc) == sigma_prime_walk(g, xc, yc)
 
 
 # -- verification -------------------------------------------------------------------
