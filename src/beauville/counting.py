@@ -107,20 +107,6 @@ def frobenius_count_brute(partition: ClassPartition, i: int, j: int, k: int) -> 
     return partition.classes[i].size * hits
 
 
-def frobenius_table_brute(partition: ClassPartition, i: int) -> list[list[int]]:
-    """All counts N_{X_i, Y_j, Z_k} for a fixed first class in one sweep."""
-    G = partition.group
-    k = len(partition)
-    x = partition.classes[i].representative
-    counts = [[0] * k for _ in range(k)]
-    for j in range(k):
-        for y in partition.members(j):
-            kk = partition.class_of(G.inverse(G.multiply(x, y)))
-            counts[j][kk] += 1
-    size = partition.classes[i].size
-    return [[size * c for c in row] for row in counts]
-
-
 # ---------------------------------------------------------------------------
 # character tables (Burnside class-matrix method)
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ class GF:
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, e: int = 1):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
         if e < 1:
@@ -155,18 +155,10 @@ class GF:
         q = p**e
         if q >= 1 << 63:
             raise FieldError("q = p**e exceeds the supported 64-bit magnitude")
-        if modulus is None:
-            modulus = find_irreducible(p, e)
-        else:
-            modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree e")
-            if e > 1 and not _is_irreducible(list(modulus), p):
-                raise FieldError("modulus is not irreducible over F_p")
         self.p = p
         self.e = e
         self.q = q
-        self.modulus = modulus
+        self.modulus = find_irreducible(p, e)
         self.zero = 0
         self.one = 1
         if e > 1:
@@ -177,6 +169,8 @@ class GF:
         self.two = self.of_int(2)
         self.minus_one = self.neg(1)
         self.minus_two = self.neg(self.two)
+        if p == 2:  # the Artin-Schreier roots need a unit of absolute trace 1
+            self._as_delta = next(a for a in self.units() if self.absolute_trace(a) == 1)
 
     # -- construction / encoding -------------------------------------------
 
@@ -329,45 +323,15 @@ class GF:
         return (r1,) if r1 == r2 else tuple(sorted((r1, r2)))
 
     def _artin_schreier_root(self, u: int) -> int:
-        """A root of w**2 + w = u in characteristic 2 (trace(u) == 0)."""
-        if self.e == 1:
-            return 0  # F_2: u must be 0
-        if self.e % 2 == 1:
-            # half-trace: sum of u^(4^i) for i = 0..(e-1)/2
-            acc, w = u, u
-            for _ in range((self.e - 1) // 2):
-                w = self.frobenius(w, 2)
-                acc = self.add(acc, w)
-            return acc
-        # even degree: solve the F_2-linear system (w -> w^2 + w) directly
-        return self._linear_as_solve(u)
-
-    def _linear_as_solve(self, u: int) -> int:
-        # Gaussian elimination over F_2 on the map w -> w^2 + w in the
-        # polynomial basis; u is assumed to be in the image.
-        e = self.e
-        cols = []
-        for i in range(e):
-            basis = self.element([0] * i + [1])
-            img = self.add(self.mul(basis, basis), basis)
-            cols.append(self.coeffs(img))
-        rows = [[cols[j][i] for j in range(e)] + [self.coeffs(u)[i]] for i in range(e)]
-        pivots = []
-        r = 0
-        for col in range(e):
-            sel = next((i for i in range(r, e) if rows[i][col]), None)
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            for i in range(e):
-                if i != r and rows[i][col]:
-                    rows[i] = [(x ^ y) for x, y in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        sol = [0] * e
-        for i, col in enumerate(pivots):
-            sol[col] = rows[i][e]
-        return self.element(sol)
+        """A root of w**2 + w = u in characteristic 2 (trace(u) == 0):
+        w = sum_i u^(2^i) * sum_{j <= i} d^(2^j) with Tr(d) = 1.  Squaring
+        shifts both indices, so w**2 + w = u*Tr(d) + d*Tr(u) = u."""
+        w, head, ui, di = 0, 0, u, self._as_delta
+        for _ in range(self.e):
+            head = self.add(head, di)
+            w = self.add(w, self.mul(ui, head))
+            ui, di = self.mul(ui, ui), self.mul(di, di)
+        return w
 
     # -- subfields -----------------------------------------------------------
 

@@ -107,15 +107,6 @@ class Group:
                 required=self.order, cap=limit)
         return self.iter_elements()
 
-    def order_of_brute(self, a) -> int:
-        """Reference order computation by repeated multiplication."""
-        k, cur = 1, a
-        e = self.identity()
-        while cur != e:
-            cur = self.multiply(cur, a)
-            k += 1
-        return k
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()} order={self.order}>"
 
@@ -228,51 +219,6 @@ def closure(group: Group, gens, cap: int = 1_000_000, stop_above: int | None = N
                     new.append(c)
         frontier = new
     return seen
-
-
-def brute_conjugacy_partition(group: Group, elements=None):
-    """Partition into conjugacy classes by orbiting under conjugation.
-
-    Orbits are computed under conjugation by a generating set (any full
-    enumeration works since conjugation by products composes), so the cost
-    is O(|G| * #gens) group operations rather than O(|G|^2).
-    """
-    if elements is None:
-        elements = list(group.elements())
-    gens = _generating_set(group, elements)
-    unseen = set(elements)
-    classes = []
-    for a in elements:
-        if a not in unseen:
-            continue
-        orbit = {a}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for g in gens:
-                    c = group.conjugate(g, b)
-                    if c not in orbit:
-                        orbit.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        unseen -= orbit
-        classes.append(orbit)
-    return classes
-
-
-def _generating_set(group: Group, elements):
-    """A small generating set found greedily from the enumeration."""
-    gens = []
-    have = {group.identity()}
-    for a in elements:
-        if a in have:
-            continue
-        gens.append(a)
-        have = closure(group, gens)
-        if len(have) == group.order:
-            break
-    return gens
 
 
 def parse_group(descriptor: str) -> Group:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .groups import Group, parse_group
 from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census,
-                         sigma_prime_fingerprints)
+                         sigma_prime_fingerprints, triple_type)
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -103,10 +103,8 @@ def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
     tallies.update(_pair_tallies(G, x2, y2, gen2))
     if not (gen1 and gen2):
         return False, tallies
-    z1 = G.inverse(G.multiply(x1, y1))
-    z2 = G.inverse(G.multiply(x2, y2))
-    t1 = (G.order_of(x1), G.order_of(y1), G.order_of(z1))
-    t2 = (G.order_of(x2), G.order_of(y2), G.order_of(z2))
+    _, t1 = triple_type(G, x1, y1)
+    _, t2 = triple_type(G, x2, y2)
     if math.gcd(math.prod(t1), math.prod(t2)) == 1:
         return True, tallies
     ok = not (sigma_prime_fingerprints(G, x1, y1)
@@ -117,26 +115,16 @@ def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
 def _pair_tallies(G, x, y, gen: bool) -> dict:
     if G.kind != "psl2":
         return {"elements": 2, "pairs": 1, "generating": int(gen)}
-    xy = G.multiply(x, y)
-    types = [G.split_type(m) for m in (x, y, xy)]
-    out = {"elements": 2, "pairs": 1, "split": 0, "nonsplit": 0,
-           "unipotent": 0, "triple_split": 0, "triple_nonsplit": 0,
-           "generating": int(gen)}
-    out["even_order" if G.q % 2 else "order_div3"] = 0
-    for st in types[:2]:
-        if st in out:
-            out[st] += 1
-    if all(t == "split" for t in types):
-        out["triple_split"] = 1
-    if all(t == "nonsplit" for t in types):
-        out["triple_nonsplit"] = 1
-    for m in (x, y):
-        k = G.order_of(m)
-        if G.q % 2 == 1 and k % 2 == 0:
-            out["even_order"] += 1
-        if G.q % 2 == 0 and k % 3 == 0:
-            out["order_div3"] += 1
-    return out
+    # every key, zero counts included, so the same components are emitted
+    types = [G.split_type(m) for m in (x, y)]
+    triple = {*types, G.split_type(G.multiply(x, y))}
+    k = 2 if G.q % 2 else 3  # even order for odd q, order divisible by 3 for even q
+    return {"elements": 2, "pairs": 1, "generating": int(gen),
+            **{st: types.count(st) for st in ("split", "nonsplit", "unipotent")},
+            "triple_split": int(triple == {"split"}),
+            "triple_nonsplit": int(triple == {"nonsplit"}),
+            ("even_order" if k == 2 else "order_div3"):
+                sum(G.order_of(m) % k == 0 for m in (x, y))}
 
 
 def _pair_sample(G: Group, rng) -> tuple[bool, dict]:

@@ -181,13 +181,15 @@ class PSL2(Group):
         return self._semisimple_order(a)
 
     def split_type(self, m) -> str:
-        """'identity', 'unipotent', 'split' or 'nonsplit'."""
+        """'identity', 'unipotent', 'split' or 'nonsplit'.  A semisimple
+        order is > 1 and divides (q-1)/d when split, (q+1)/d when not; the
+        two are coprime, so the memoized order decides."""
         if m == (1, 0, 0, 1):
             return "identity"
         a = self.trace(m)
         if self._is_pm2(a):
             return "unipotent"
-        return "split" if self.is_split_trace(a) else "nonsplit"
+        return "split" if self.split_order % self._semisimple_order(a) == 0 else "nonsplit"
 
     # -- conjugacy fingerprints ---------------------------------------------------
 
@@ -409,15 +411,6 @@ class PSL2(Group):
 
     def generates(self, x, y) -> bool:
         return self.classify_pair(x, y).kind == "full"
-
-    def classify_pair_brute(self, x, y) -> SubgroupClass:
-        """Oracle classification via BFS closure, independent of the trace
-        machinery except for element orders.  The closure stops once it
-        outgrows the largest proper subgroup, certifying full generation."""
-        h = closure(self, (x, y), stop_above=self.proper_subgroup_bound)
-        if len(h) > self.proper_subgroup_bound:
-            return SubgroupClass("full")
-        return self._classify_closure(h)
 
     def _fixes_projective_point(self, h):
         """Common fixed point on P1(GF(q)) for all elements (Borel test)."""

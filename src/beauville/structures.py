@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
 
 from .counting import ClassPartition
 from .groups import CapExceeded, Group, GroupError
@@ -91,8 +91,14 @@ def is_hurwitz_psl2(p: int, e: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Sigma sets
+# triple types and Sigma sets
 # ---------------------------------------------------------------------------
+
+def triple_type(G: Group, x, y) -> tuple:
+    """z = (x*y)**-1 and the sorted type (|x|, |y|, |z|) of the triple."""
+    z = G.inverse(G.multiply(x, y))
+    return z, tuple(sorted((G.order_of(x), G.order_of(y), G.order_of(z))))
+
 
 def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
     """Conjugacy fingerprints of the prime-order elements among all powers
@@ -191,10 +197,8 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
     t0 = time.perf_counter()
     for m in (x1, y1, x2, y2):
         G.check_element(m)
-    z1 = G.inverse(G.multiply(x1, y1))
-    z2 = G.inverse(G.multiply(x2, y2))
-    type1 = tuple(sorted((G.order_of(x1), G.order_of(y1), G.order_of(z1))))
-    type2 = tuple(sorted((G.order_of(x2), G.order_of(y2), G.order_of(z2))))
+    z1, type1 = triple_type(G, x1, y1)
+    z2, type2 = triple_type(G, x2, y2)
     witnesses: dict = {}
 
     gen1 = G.generates(x1, y1)
@@ -444,13 +448,12 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     examples: dict = {}
     gen_pairs = 0
     for cls in reps:
-        x, order_x = cls.representative, cls.element_order
+        x = cls.representative
         for y in elements:
             if not G.generates(x, y):
                 continue
             gen_pairs += 1
-            z = G.inverse(G.multiply(x, y))
-            tau = tuple(sorted((order_x, G.order_of(y), G.order_of(z))))
+            _, tau = triple_type(G, x, y)
             if targets and tau not in targets:
                 continue
             sig = sigma_prime_fingerprints(G, x, y)
@@ -472,14 +475,15 @@ def _exhaustive_search(G, targets, pair_cap, t0):
         for s2 in sigmas[i:]:
             if s1 & s2:
                 continue
-            for tau1, (x1, y1) in achievable[s1].items():
-                for tau2, (x2, y2) in achievable[s2].items():
-                    if targets and (tau1, tau2) != targets and (tau2, tau1) != targets:
+            for (tau1, pair1), (tau2, pair2) in product(achievable[s1].items(),
+                                                        achievable[s2].items()):
+                # swap only when the unswapped order misses, so equal
+                # target types keep the census order
+                if targets and (tau1, tau2) != targets:
+                    if (tau2, tau1) != targets:
                         continue
-                    if targets and (tau2, tau1) == targets and (tau1, tau2) != targets:
-                        x1, y1, x2, y2 = x2, y2, x1, y1
-                    quad = (x1, y1, x2, y2)
-                    return _outcome(G, quad, t0, {"strategy": "exhaustive", **counts})
+                    pair1, pair2 = pair2, pair1
+                return _outcome(G, pair1 + pair2, t0, {"strategy": "exhaustive", **counts})
     certificate = {
         "conclusion": ("no unmixed Beauville structure: no two generating "
                        "pairs have disjoint power-class sets"
@@ -495,30 +499,22 @@ def _exhaustive_search(G, targets, pair_cap, t0):
 
 def _random_search(G, targets, seed, max_attempts, t0):
     rng = random.Random(seed)
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        x1, y1 = G.random_element(rng), G.random_element(rng)
-        if not G.generates(x1, y1):
+    target1, target2 = targets or (None, None)
+
+    def draw(target):
+        """A random generating pair of the target type, or None."""
+        x, y = G.random_element(rng), G.random_element(rng)
+        if G.generates(x, y) and (not target or triple_type(G, x, y)[1] == target):
+            return x, y
+        return None
+
+    for attempts in range(1, max_attempts + 1):
+        pair1 = draw(target1)
+        pair2 = pair1 and draw(target2)
+        if not pair2 or (sigma_prime_fingerprints(G, *pair1)
+                         & sigma_prime_fingerprints(G, *pair2)):
             continue
-        if targets:
-            z1 = G.inverse(G.multiply(x1, y1))
-            tau1 = tuple(sorted((G.order_of(x1), G.order_of(y1), G.order_of(z1))))
-            if tau1 != targets[0]:
-                continue
-        x2, y2 = G.random_element(rng), G.random_element(rng)
-        if not G.generates(x2, y2):
-            continue
-        if targets:
-            z2 = G.inverse(G.multiply(x2, y2))
-            tau2 = tuple(sorted((G.order_of(x2), G.order_of(y2), G.order_of(z2))))
-            if tau2 != targets[1]:
-                continue
-        s1 = sigma_prime_fingerprints(G, x1, y1)
-        s2 = sigma_prime_fingerprints(G, x2, y2)
-        if s1 & s2:
-            continue
-        return _outcome(G, (x1, y1, x2, y2), t0,
+        return _outcome(G, pair1 + pair2, t0,
                         {"strategy": "random", "attempts": attempts, "seed": seed})
     raise SearchInconclusive(
         f"no structure found for {G.descriptor()} in {max_attempts} random "
@@ -568,22 +564,9 @@ def _macbeath_search(G, targets, t0):
 def _coprime_type_pairs(G, limit: int = 40):
     """Hyperbolic type pairs with coprime order products, smallest first."""
     orders = sorted(o for o in G.realizable_orders() if o >= 2)
-    triples = []
-    for r in orders:
-        for s in orders:
-            if s < r:
-                continue
-            for t in orders:
-                if t < s:
-                    continue
-                if classify_triangle(r, s, t).kind == "hyperbolic":
-                    triples.append((r, s, t))
-    triples.sort(key=lambda tau: (tau[0] * tau[1] * tau[2], tau))
-    out = []
-    for i, tau1 in enumerate(triples):
-        for tau2 in triples[i:]:
-            if math.gcd(math.prod(tau1), math.prod(tau2)) == 1:
-                out.append((tau1, tau2))
-                if len(out) >= limit:
-                    return out
-    return out
+    triples = sorted((tau for tau in combinations_with_replacement(orders, 3)
+                      if classify_triangle(*tau).kind == "hyperbolic"),
+                     key=lambda tau: (math.prod(tau), tau))
+    pairs = ((tau1, tau2) for tau1, tau2 in combinations_with_replacement(triples, 2)
+             if math.gcd(math.prod(tau1), math.prod(tau2)) == 1)
+    return list(islice(pairs, limit))

@@ -4,9 +4,89 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from beauville.groups import brute_conjugacy_partition
+from beauville.groups import closure
 from beauville.numutil import prime_factors
+from beauville.psl2 import SubgroupClass
 from beauville.structures import sigma_prime_fingerprints
+
+
+def order_of_brute(G, a):
+    """Element order by repeated multiplication."""
+    k, cur = 1, a
+    e = G.identity()
+    while cur != e:
+        cur = G.multiply(cur, a)
+        k += 1
+    return k
+
+
+def classify_pair_brute(G, x, y):
+    """PSL2 classification via BFS closure, independent of the trace
+    machinery except for element orders.  The closure stops once it
+    outgrows the largest proper subgroup, certifying full generation."""
+    h = closure(G, (x, y), stop_above=G.proper_subgroup_bound)
+    if len(h) > G.proper_subgroup_bound:
+        return SubgroupClass("full")
+    return G._classify_closure(h)
+
+
+def frobenius_table_brute(partition, i):
+    """All counts N_{X_i, Y_j, Z_k} for a fixed first class in one sweep."""
+    G = partition.group
+    k = len(partition)
+    x = partition.classes[i].representative
+    counts = [[0] * k for _ in range(k)]
+    for j in range(k):
+        for y in partition.members(j):
+            kk = partition.class_of(G.inverse(G.multiply(x, y)))
+            counts[j][kk] += 1
+    size = partition.classes[i].size
+    return [[size * c for c in row] for row in counts]
+
+
+def brute_conjugacy_partition(G, elements=None):
+    """Partition into conjugacy classes by orbiting under conjugation.
+
+    Orbits are computed under conjugation by a generating set (any full
+    enumeration works since conjugation by products composes), so the cost
+    is O(|G| * #gens) group operations rather than O(|G|^2).
+    """
+    if elements is None:
+        elements = list(G.elements())
+    gens = _generating_set(G, elements)
+    unseen = set(elements)
+    classes = []
+    for a in elements:
+        if a not in unseen:
+            continue
+        orbit = {a}
+        frontier = [a]
+        while frontier:
+            nxt = []
+            for b in frontier:
+                for g in gens:
+                    c = G.conjugate(g, b)
+                    if c not in orbit:
+                        orbit.add(c)
+                        nxt.append(c)
+            frontier = nxt
+        unseen -= orbit
+        classes.append(orbit)
+    return classes
+
+
+def _generating_set(G, elements):
+    """A small generating set found greedily from the enumeration."""
+    gens = []
+    have = {G.identity()}
+    for a in elements:
+        if a in have:
+            continue
+        gens.append(a)
+        have = closure(G, gens)
+        if len(have) == G.order:
+            break
+    return gens
 
 
 def fingerprint_partition(G, elements=None):

@@ -325,6 +325,26 @@ PINNED_DIGESTS = [
      "8ea7006fae542b352087dae17a12d9df1e5e11c18aa52722ca00affef3fbda90"),
     (["estimate", "--group", "psl2:3^5", "--samples", "500", "--workers", "2"],
      "88b327ef0e4748bccfbcd4bffe5be75a85123651645a2356cbeba838c4bb0f79"),
+    (["search", "--group", "psl2:7", "--strategy", "exhaustive",
+      "--type1", "3,3,4", "--type2", "7,7,7"],
+     "b1dd7b856891db70b415e62ad4924f8f4ed19c3dafd4225daa9e88708b6898dd"),
+    (["search", "--group", "psl2:7", "--strategy", "exhaustive",
+      "--type1", "7,7,7", "--type2", "3,3,4"],
+     "cb16016f01d6084ea57a006f9f58c6f4b24407dde28a6d51cc41af177b640c14"),
+    (["search", "--group", "ab:7", "--strategy", "exhaustive",
+      "--type1", "7,7,7", "--type2", "7,7,7"],
+     "8380dfa150e8078487ffa07ecd78fef56ff074840336bdc27b537502c0ea88fa"),
+    (["search", "--group", "alt:6", "--strategy", "random", "--seed", "5"],
+     "bf9242643186121decafb94661ae35eb33026a2999c756ac591ebed84fcde714"),
+    (["search", "--group", "psl2:11", "--strategy", "random",
+      "--type1", "5,5,5", "--type2", "6,6,6", "--seed", "3"],
+     "693c8a69729e1e1ee174ff25067fffbd17db70ba613c63c7428a8c77754f69a0"),
+    (["search", "--group", "alt:7", "--seed", "7"],
+     "8e5a312d45b2356dddde9e365a3b28832b86e4e2f9cb458c2b0e19a3cf81aa03"),
+    (["stats", "--group", "psl2:2^4", "--samples", "500"],
+     "f0e3a96b946de00fad8bb663f8ed36ec83cbfc91420a585eef02d93a36322dae"),
+    (["estimate", "--group", "psl2:3^3", "--samples", "300"],
+     "7616fcac576ef39d818274bf0058769c9c690554826212a4b5c5a9c6b0c40468"),
 ]
 
 

@@ -6,8 +6,9 @@ from beauville.psl2 import PSL2
 from beauville.counting import (CharacterTable, TableInvalid,
                                 character_table, conjugacy_classes,
                                 frobenius_count_brute,
-                                frobenius_count_character,
-                                frobenius_table_brute, witten_zeta)
+                                frobenius_count_character, witten_zeta)
+
+from _oracles import frobenius_table_brute
 
 ORACLE_GROUPS = ["alt:5", "alt:6", "psl2:7", "psl2:2^3", "ab:5"]
 

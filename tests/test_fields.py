@@ -35,11 +35,6 @@ def test_rejects_non_prime():
         GF(9)
 
 
-def test_rejects_reducible_modulus():
-    with pytest.raises(FieldError):
-        GF(3, 2, modulus=(0, 0, 1))  # x^2 = x*x
-
-
 def test_arith_examples():
     f7 = gf(7)
     assert f7.mul(3, 5) == 1
@@ -86,9 +81,9 @@ def test_unit_group_order_and_square_counts(p, e):
 
 @pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (11, 1), (2, 2), (3, 2),
                                  (2, 3), (5, 2), (7, 2), (3, 4), (11, 2),
-                                 (2, 4), (2, 6)])
+                                 (2, 4), (2, 5), (2, 6), (2, 8)])
 def test_solve_quadratic_matches_brute_enumeration(p, e):
-    # q <= 121 all-coefficient sweep against full root enumeration
+    # q <= 256 coefficient sweep against full root enumeration
     f = gf(p, e)
     rng = random.Random(17)
     coeff_sets = [(a, b, c) for a in [1, f.q - 1] for b in range(min(f.q, 6))

@@ -8,7 +8,7 @@ import pytest
 from beauville.groups import closure
 from beauville.psl2 import PSL2, SubgroupClass
 
-from _oracles import crafted_psl2_pairs
+from _oracles import classify_pair_brute, crafted_psl2_pairs, order_of_brute
 
 MACBEATH_SPECS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                   (5, 2), (7, 2), (101, 1)]
@@ -38,7 +38,7 @@ def test_order_memo_filled_by_traces_by_order_matches_brute(p, e):
     assert all(g._order_by_trace[a] == k for k, traces in by_order.items() for a in traces)
     # ... and order_of answers every element of every class from it
     for m in g.elements():
-        assert g.order_of(m) == g.order_of_brute(m)
+        assert g.order_of(m) == order_of_brute(g, m)
 
 
 def test_split_type_examples_psl2_7():
@@ -54,7 +54,11 @@ def test_split_type_consistent_with_order_divisibility(p, e):
     for m in g.elements():
         st = g.split_type(m)
         k = g.order_of(m)
-        assert k == g.order_of_brute(m)
+        assert k == order_of_brute(g, m)
+        if st in ("split", "nonsplit"):
+            # split_type reads the order, so also check it against the
+            # independent eigenvalue test on the trace
+            assert (st == "split") == g.is_split_trace(g.trace(m))
         if st == "split":
             assert k > 1 and g.split_order % k == 0
         elif st == "nonsplit":
@@ -260,7 +264,7 @@ def test_subfield_pair_detected_in_psl2_49():
         if cls.kind == "subfield":
             assert cls.subfield_degree == 1
             hits += 1
-            assert cls == g.classify_pair_brute(x, y)
+            assert cls == classify_pair_brute(g, x, y)
     assert hits > 10
 
 
@@ -270,7 +274,7 @@ def test_classifier_agrees_with_bfs_oracle_1000_random_pairs(p, e):
     rng = random.Random(10_000 * p + e)
     for _ in range(1000):
         x, y = g.random_element(rng), g.random_element(rng)
-        assert g.classify_pair(x, y) == g.classify_pair_brute(x, y)
+        assert g.classify_pair(x, y) == classify_pair_brute(g, x, y)
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2), (13, 1), (5, 2), (3, 3)])
@@ -278,7 +282,7 @@ def test_classifier_agrees_with_bfs_oracle_crafted_pairs(p, e):
     g = PSL2(p, e)
     rng = random.Random(99 * p + e)
     for x, y in crafted_psl2_pairs(g, rng, n_random=80, n_special=40):
-        assert g.classify_pair(x, y) == g.classify_pair_brute(x, y)
+        assert g.classify_pair(x, y) == classify_pair_brute(g, x, y)
 
 
 def test_classifier_on_deep_subfield_tower_q81():
@@ -289,7 +293,7 @@ def test_classifier_on_deep_subfield_tower_q81():
     kinds = set()
     for x, y in crafted_psl2_pairs(g, rng, n_random=150, n_special=30):
         cls = g.classify_pair(x, y)
-        assert cls == g.classify_pair_brute(x, y)
+        assert cls == classify_pair_brute(g, x, y)
         kinds.add((cls.kind, cls.subfield_kind))
     assert ("subfield", "pgl") in kinds and ("subfield", "psl") in kinds
 
