@@ -1,11 +1,12 @@
 """Unmixed Beauville structures in concrete finite groups.
 
 Realizations: PSL2(p^e) over exact GF(p^e) arithmetic, alternating and
-symmetric groups via Schreier-Sims, and Zn x Zn.  On top of the uniform
-group contract sit the three-condition Beauville verifier, exhaustive and
-guided structure searches, the class-algebra counting formula (brute and
-character-sum), Burnside character tables, the Witten zeta function, the
-Hurwitz residue criterion and seeded Monte Carlo probability estimates.
+symmetric groups (generation by a Jordan certificate, else Schreier-Sims),
+and Zn x Zn.  On top of the uniform group contract sit the three-condition
+Beauville verifier, exhaustive and guided structure searches, the
+class-algebra counting formula (brute and character-sum), Burnside
+character tables, the Witten zeta function, the Hurwitz residue criterion
+and seeded Monte Carlo probability estimates.
 """
 
 from .counting import (CharacterTable, ClassPartition, character_table,

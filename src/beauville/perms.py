@@ -5,9 +5,10 @@ image of i; composition is ``(a*b)[i] = a[b[i]]`` (apply b first), matching
 the matrix convention of the PSL2 realization.  Text encoding is 1-based
 cycle notation ``(1 2 3)(4 5)`` with ``()`` for the identity.
 
-Generation testing goes through a deterministic Schreier-Sims base and
-strong generating set; the BFS closure stays available as the brute oracle
-for small n.  Conjugacy fingerprints are cycle types, refined by the parity
+Generation is decided exactly: intransitive pairs fail, a Jordan prime-cycle
+certificate proves A_n, and the rest goes to a deterministic Schreier-Sims
+base and strong generating set (the oracle, beside the BFS closure for
+small n).  Conjugacy fingerprints are cycle types, refined by the parity
 discriminator on the types (all cycle lengths odd and distinct) whose S_n
 class splits into two A_n classes.
 """
@@ -17,6 +18,7 @@ import math
 from functools import lru_cache
 
 from .groups import Group, GroupError, HandleMismatch
+from .numutil import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,58 @@ class BSGS:
 
 
 # ---------------------------------------------------------------------------
+# giant recognition
+# ---------------------------------------------------------------------------
+
+GIANT_WALK_STEPS = 60   # product-replacement steps before BSGS decides
+_WALK_SEED, _M64 = 0x853C49E6748FEA9B, (1 << 64) - 1
+
+
+def _walk(x, y):
+    """x, y, then the products of a product-replacement walk from the slots
+    [x, y, x, y], driven by a constant-seeded LCG (never a caller's RNG)."""
+    yield from (x, y)
+    slots, state = [x, y, x, y], _WALK_SEED
+    for _ in range(GIANT_WALK_STEPS):
+        state = (state * 6364136223846793005 + 1442695040888963407) & _M64
+        k = (state >> 33) % 12  # an ordered pair of distinct slots
+        i, j = k // 3, (k // 3 + 1 + k % 3) % 4
+        slots[i] = perm_mul(slots[i], slots[j])
+        yield slots[i]
+
+
+def _generates_giant(G, x, y) -> bool:
+    """Exact test for <x, y> = G, where G is A_n, or S_n with x or y odd.
+
+    1. If the orbit of point 0 is not all n points, <x, y> is intransitive:
+       False.
+    2. If x, y or a product met by ``_walk`` has a cycle of prime length p
+       with n/2 < p < n - 2, then <x, y> contains A_n: True.  Since 2p > n
+       that cycle is the only one of length divisible by p, so a power of
+       the element is a p-cycle.  A transitive group holding a p-cycle with
+       p > n/2 is primitive: the cycle fixes every block of a block system
+       (moving p blocks would move at least 2p > n points), so its support
+       lies in one block, which then has over n/2 points: all of them.  By
+       Jordan's theorem a primitive group holding a p-cycle with p <= n - 3
+       contains A_n (Dixon & Mortimer, Permutation Groups, Thm. 3.3E).
+    3. Anything else is decided by Schreier-Sims: |<x, y>| == |G|.
+    """
+    orbit, frontier = {0}, [0]
+    for p in frontier:
+        for q in (x[p], y[p]):
+            if q not in orbit:
+                orbit.add(q)
+                frontier.append(q)
+    if len(orbit) < G.n:
+        return False
+    primes = G._jordan_primes  # empty for n <= 7
+    if primes and any(not primes.isdisjoint(map(len, cycles_of(g)))
+                      for g in _walk(x, y)):
+        return True
+    return BSGS([x, y], G.n).order == G.order
+
+
+# ---------------------------------------------------------------------------
 # the group handles
 # ---------------------------------------------------------------------------
 
@@ -221,6 +275,9 @@ class _PermGroupBase(Group):
         if n < 3:
             raise GroupError("permutation realizations need n >= 3")
         self.n = n
+        # the primes of the Jordan certificate (see _generates_giant)
+        self._jordan_primes = frozenset(
+            p for p in range(n // 2 + 1, n - 2) if is_prime(p))
 
     def identity(self):
         return perm_identity(self.n)
@@ -265,7 +322,7 @@ class AlternatingGroup(_PermGroupBase):
                 f"odd permutation {format_cycles(a)} passed to {self.descriptor()}")
 
     def generates(self, x, y):
-        return BSGS([x, y], self.n).order == self.order
+        return _generates_giant(self, x, y)
 
     def fingerprint(self, a):
         ct = cycle_type(a)
@@ -311,7 +368,9 @@ class SymmetricGroup(_PermGroupBase):
         self._check_shape(a)
 
     def generates(self, x, y):
-        return BSGS([x, y], self.n).order == self.order
+        # two even permutations generate at most A_n; with an odd one,
+        # a group containing A_n is S_n
+        return bool(parity(x) or parity(y)) and _generates_giant(self, x, y)
 
     def fingerprint(self, a):
         return ("c",) + cycle_type(a)

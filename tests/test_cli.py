@@ -345,6 +345,18 @@ PINNED_DIGESTS = [
      "f0e3a96b946de00fad8bb663f8ed36ec83cbfc91420a585eef02d93a36322dae"),
     (["estimate", "--group", "psl2:3^3", "--samples", "300"],
      "7616fcac576ef39d818274bf0058769c9c690554826212a4b5c5a9c6b0c40468"),
+    # A_n / S_n generation: Jordan certificate, BSGS fallback, witness text
+    (["estimate", "--group", "alt:8", "--samples", "200", "--workers", "1"],
+     "c6d1bdc7cd344c978085530c41be14912d28d53eb59fa17a5cced7de28324366"),
+    (["estimate", "--group", "alt:8", "--samples", "200", "--workers", "2"],
+     "41787d916d452bb26926064a2be5fdce361542ca06b6bcc9a9fd4fd938dcca5e"),
+    (["stats", "--group", "sym:9", "--samples", "100"],
+     "ebf6fcfaafb39b395146ad82c04077bf8dc2ddc2c4e3ae88a0ecba11c6c5bbe3"),
+    (["search", "--group", "alt:12", "--strategy", "random", "--seed", "3"],
+     "65d8cd7dfa9b8e02e9fc3a000dd15e8956bfe33206f7c487e73c5424471a13d7"),
+    (["verify", "--group", "alt:8", "--quad",
+      "(1 2 3 4 5 6 7);(1 8)(2 7)(3 4)(5 6);(1 2 3 4 5 6 7);(1 2 3)"],
+     "a15b9ebdc0c34b4eb540cf12badb07e226b1136826841106385fd6743f164cd9"),
 ]
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beauville.groups import GroupError, closure
-from beauville.perms import (BSGS, AlternatingGroup, SymmetricGroup,
+from beauville.fields import gf
+from beauville.groups import GroupError, closure, parse_group
+from beauville.perms import (BSGS, AlternatingGroup, SymmetricGroup, _walk,
                              construct_almost_homogeneous, cycle_type,
-                             format_cycles, format_shape, order_partition,
-                             parse_cycles, parity, perm_inv,
+                             cycles_of, format_cycles, format_shape,
+                             order_partition, parse_cycles, parity, perm_inv,
                              perm_mul, perm_order, permutation_of_shape,
                              select_six_shapes)
 
@@ -58,6 +59,125 @@ def test_bsgs_membership_via_sifting():
             outside += 1
             assert not bs.contains(g)
     assert outside > 0
+
+
+# -- giant recognition: Jordan certificate against the BSGS oracle ----------
+
+def _bsgs_generates(G, x, y):
+    return BSGS([x, y], G.n).order == G.order
+
+
+def _certified(G, x, y):
+    # whether the Jordan walk meets an element with a cycle in the prime window
+    return any(not G._jordan_primes.isdisjoint(map(len, cycles_of(g)))
+               for g in _walk(x, y))
+
+
+@pytest.mark.parametrize("desc,pairs", [
+    ("alt:8", 100), ("alt:9", 100), ("alt:10", 100), ("alt:12", 100),
+    ("sym:8", 100), ("sym:10", 100)])
+def test_generates_agrees_with_bsgs_on_random_pairs(desc, pairs):
+    G = parse_group(desc)
+    rng = random.Random(f"giant:{desc}")
+    generating = certified = 0
+    for _ in range(pairs):
+        x, y = G.random_element(rng), G.random_element(rng)
+        truth = _bsgs_generates(G, x, y)
+        assert G.generates(x, y) == truth, (format_cycles(x), format_cycles(y))
+        generating += truth
+        certified += truth and _certified(G, x, y)
+    # the certificate, not the fallback, decides almost every generating pair
+    assert generating > pairs // 2 and certified == generating
+
+
+def _mobius(F, a, b, c, d):
+    """z -> (a z + b) / (c z + d) on the projective line over F; infinity is
+    the point F.q."""
+    q = F.q
+
+    def image(z):
+        if z == q:
+            return q if c == 0 else F.div(a, c)
+        num, den = F.add(F.mul(a, z), b), F.add(F.mul(c, z), d)
+        return q if den == 0 else F.div(num, den)
+    return tuple(image(z) for z in range(q + 1))
+
+
+def _psl2_pair(p, e=1, nu=1):
+    # z -> nu z + 1 and z -> -1/z; nu = 1 gives PSL2(q) for prime q, a
+    # non-square nu gives PGL2(q)
+    F = gf(p, e)
+    return F.q + 1, _mobius(F, nu, 1, 0, 1), _mobius(F, 0, F.neg(1), 1, 0)
+
+
+def _agl1_pair(p, g):
+    return p, tuple((z + 1) % p for z in range(p)), tuple(g * z % p for z in range(p))
+
+
+def _wreath_pair(k):
+    # (1 2) and the 2k-cycle interleaving the blocks {1..k} and {k+1..2k}
+    n = 2 * k
+    y = [0] * n
+    for i in range(k):
+        y[i], y[k + i] = k + i, (i + 1) % k
+    return n, parse_cycles("(1 2)", n), tuple(y)
+
+
+HARD_CASES = [  # (name, (n, x, y), order of <x, y>)
+    ("PSL2(7) on 8 points", _psl2_pair(7), 168),
+    ("PGL2(7) on 8 points", _psl2_pair(7, nu=3), 336),
+    ("PSL2(8) on 9 points, 7-cycles at p = n - 2", _psl2_pair(2, 3, nu=2), 504),
+    ("PSL2(11) on 12 points", _psl2_pair(11), 660),
+    ("PGL2(11) on 12 points", _psl2_pair(11, nu=2), 1320),
+    ("AGL1(11)", _agl1_pair(11, 2), 110),
+    ("AGL1(13)", _agl1_pair(13, 2), 156),
+    ("S4 wr S2 on 8 points", _wreath_pair(4), 24 ** 2 * 2),
+    ("S5 wr S2 on 10 points, 5-cycles at p = n/2", _wreath_pair(5), 120 ** 2 * 2),
+]
+
+
+@pytest.mark.parametrize("name,case,order", HARD_CASES,
+                         ids=[name for name, _, _ in HARD_CASES])
+def test_certificate_never_fires_on_proper_subgroups(name, case, order):
+    n, x, y = case
+    assert BSGS([x, y], n).order == order
+    handles = [SymmetricGroup(n)]
+    if parity(x) == parity(y) == 0:
+        handles.append(AlternatingGroup(n))
+    for G in handles:
+        assert not _certified(G, x, y)
+        assert G.generates(x, y) is False
+        assert _bsgs_generates(G, x, y) is False
+
+
+def test_intransitive_pair_refused_although_the_walk_meets_a_5_cycle():
+    # the certificate proves A_n only for transitive groups: <x, y> = A7
+    # fixing the point 8 holds 5-cycles, inside the window for n = 8
+    x, y = parse_cycles("(1 2 3 4 5 6 7)", 8), parse_cycles("(1 2 3)", 8)
+    assert BSGS([x, y], 8).order == 2520
+    for G in (AlternatingGroup(8), SymmetricGroup(8)):
+        assert G.generates(x, y) is False
+    assert _certified(AlternatingGroup(8), x, y)
+
+
+def test_even_generators_of_a10_do_not_generate_s10():
+    x, y = parse_cycles("(1 2 3)", 10), parse_cycles("(2 3 4 5 6 7 8 9 10)", 10)
+    a10, s10 = AlternatingGroup(10), SymmetricGroup(10)
+    assert a10.generates(x, y) and _bsgs_generates(a10, x, y)
+    assert _certified(s10, x, y)
+    assert s10.generates(x, y) is False
+    assert s10.generates(parse_cycles("(1 2)", 10), y)
+
+
+def test_generates_leaves_the_global_rng_untouched():
+    random.seed(99)
+    state = random.getstate()
+    rng = random.Random(3)
+    for desc in ("alt:8", "alt:12", "sym:10"):
+        G = parse_group(desc)
+        for _ in range(10):
+            G.generates(G.random_element(rng), G.random_element(rng))
+    assert random.getstate() == state
 
 
 def test_odd_generator_rejected_by_alternating_handle():

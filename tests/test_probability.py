@@ -191,3 +191,9 @@ def test_alt_n_trend_reported_without_limit_assertion():
     print("P(A_n) estimates:", fractions)
     assert fractions[5] == 0.0
     assert fractions[6] > 0 and fractions[7] > 0
+    # generating fraction beside Dixon's 1 - 1/n, reported only
+    for n in (10, 15, 20, 30):
+        res = estimate_beauville_probability(AlternatingGroup(n), 200, seed=13)
+        gen = res.components["generating"]["fraction"]
+        print(f"A_{n}: generating fraction {gen:.3f}, 1 - 1/n = {1 - 1 / n:.3f}, "
+              f"P estimate {res.estimate:.3f}")
