@@ -7,6 +7,9 @@ For prime fields (e == 1) the encoding is the residue itself and all
 arithmetic is native modular arithmetic.  For extension fields a generator
 of the multiplicative group is found once and multiplication, inversion and
 powers go through exp/log tables, which keeps the PSL2 hot loops fast.
+Addition is XOR in characteristic 2; in odd characteristic it goes through
+Zech logarithms, ``a + b = a * (1 + b/a)`` with ``log(1 + g**k)`` tabled
+once per field, so no operation loops over the base-p digits.
 
 The defining modulus is deterministic: the lexicographically smallest monic
 irreducible polynomial of degree e over F_p, comparing coefficient vectors
@@ -214,12 +217,11 @@ class GF:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        p = self.p
-        da, db = self._digits[a], self._digits[b]
-        value = 0
-        for i in range(self.e - 1, -1, -1):
-            value = value * p + (da[i] + db[i]) % p
-        return value
+        if a == 0 or b == 0:
+            return a or b
+        la = self._log[a]
+        z = self._zech[(self._log[b] - la) % (self.q - 1)]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         if self.e == 1:
@@ -461,6 +463,13 @@ class GF:
         self._exp = exp
         self._log = log
         self.generator = gen
+        if p != 2:
+            # Zech logarithms zech[k] = log(1 + g**k); adding 1 steps the
+            # constant digit of the encoding.  1 + g**k = 0 only at
+            # g**((q-1)/2) = -1, marked -1.
+            zech = [log[v + 1 - p * (v % p == p - 1)] for v in exp[:q - 1]]
+            zech[(q - 1) // 2] = -1
+            self._zech = zech
 
 
 def _int_pow(a, k, raw_mul):

@@ -5,19 +5,20 @@ image of i; composition is ``(a*b)[i] = a[b[i]]`` (apply b first), matching
 the matrix convention of the PSL2 realization.  Text encoding is 1-based
 cycle notation ``(1 2 3)(4 5)`` with ``()`` for the identity.
 
-Generation is decided exactly: intransitive pairs fail, a Jordan prime-cycle
-certificate proves A_n, and the rest goes to a deterministic Schreier-Sims
-base and strong generating set (the oracle, beside the BFS closure for
-small n).  Conjugacy fingerprints are cycle types, refined by the parity
-discriminator on the types (all cycle lengths odd and distinct) whose S_n
-class splits into two A_n classes.
+Generation is decided exactly: intransitive pairs fail; for n <= 7 a BFS
+closure stopped just above the largest order a proper subgroup can have
+decides; for n >= 8 a Jordan prime-cycle certificate proves A_n, and the
+rest goes to a deterministic Schreier-Sims base and strong generating set
+(also the oracle for both fast paths).  Conjugacy fingerprints are cycle
+types, refined by the parity discriminator on the types (all cycle lengths
+odd and distinct) whose S_n class splits into two A_n classes.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .groups import Group, GroupError, HandleMismatch
+from .groups import Group, GroupError, HandleMismatch, closure
 from .numutil import is_prime
 
 
@@ -240,7 +241,15 @@ def _generates_giant(G, x, y) -> bool:
 
     1. If the orbit of point 0 is not all n points, <x, y> is intransitive:
        False.
-    2. If x, y or a product met by ``_walk`` has a cycle of prime length p
+    2. For n <= 7 (the prime window of step 3 is empty) the BFS closure of
+       x, y is stopped just above b and decides: <x, y> = G exactly when it
+       has more than b elements, with b = |G|/n for n >= 5 and b = |G| - 1
+       below.  A_n with n >= 5 has no proper subgroup of index < n, and the
+       only one of S_n is A_n, which <x, y> is not since x or y is odd
+       (``SymmetricGroup.generates`` refused two even generators); so a
+       subgroup with more than |G|/n elements is G (Dixon & Mortimer,
+       Permutation Groups, Sec. 5.2).
+    3. If x, y or a product met by ``_walk`` has a cycle of prime length p
        with n/2 < p < n - 2, then <x, y> contains A_n: True.  Since 2p > n
        that cycle is the only one of length divisible by p, so a power of
        the element is a p-cycle.  A transitive group holding a p-cycle with
@@ -249,7 +258,7 @@ def _generates_giant(G, x, y) -> bool:
        lies in one block, which then has over n/2 points: all of them.  By
        Jordan's theorem a primitive group holding a p-cycle with p <= n - 3
        contains A_n (Dixon & Mortimer, Permutation Groups, Thm. 3.3E).
-    3. Anything else is decided by Schreier-Sims: |<x, y>| == |G|.
+    4. Anything else is decided by Schreier-Sims: |<x, y>| == |G|.
     """
     orbit, frontier = {0}, [0]
     for p in frontier:
@@ -259,9 +268,11 @@ def _generates_giant(G, x, y) -> bool:
                 frontier.append(q)
     if len(orbit) < G.n:
         return False
-    primes = G._jordan_primes  # empty for n <= 7
-    if primes and any(not primes.isdisjoint(map(len, cycles_of(g)))
-                      for g in _walk(x, y)):
+    if G.n <= 7:
+        bound = G.order // G.n if G.n >= 5 else G.order - 1
+        return len(closure(G, (x, y), stop_above=bound)) > bound
+    primes = G._jordan_primes
+    if any(not primes.isdisjoint(map(len, cycles_of(g))) for g in _walk(x, y)):
         return True
     return BSGS([x, y], G.n).order == G.order
 

@@ -291,6 +291,8 @@ def _perm_triple(G, r, s, t, seed, max_attempts):
         x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
     except GroupError as exc:
         raise Unrealizable(str(exc)) from exc
+    if G.kind == "symmetric":
+        x0, y0 = _symmetric_shapes(G.n, r, s, t)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         x = G.conjugate(G.random_element(rng), x0)
@@ -303,6 +305,27 @@ def _perm_triple(G, r, s, t, seed, max_attempts):
     raise SearchInconclusive(
         f"no ({r},{s},{t}) generating triple of {G.descriptor()} found in "
         f"{max_attempts} random attempts (inconclusive)")
+
+
+def _symmetric_shapes(n, r, s, t):
+    """Elements of orders r and s whose parities allow <x, y> = S_n.
+
+    Two even permutations generate at most A_n, so x or y is odd, and
+    z = (xy)**-1 has the parity of xy, so an element of order t with that
+    parity must exist.  The first parity pair (x, y) of (even, odd),
+    (odd, even), (odd, odd) with all three shapes realizable is taken; when
+    none is, S_n has no generating triple of type (r, s, t).
+    """
+    from .perms import order_partition, permutation_of_shape
+    for px, py in ((0, 1), (1, 0), (1, 1)):
+        parts = [order_partition(n, k, par)
+                 for k, par in ((r, px), (s, py), (t, px ^ py))]
+        if None not in parts:
+            return permutation_of_shape(n, parts[0]), permutation_of_shape(n, parts[1])
+    raise Unrealizable(
+        f"sym:{n} has no generating triple of type ({r},{s},{t}): x or y "
+        f"must be odd with z of the parity of xy, and no permutations of "
+        f"these orders on {n} points have such parities")
 
 
 def _abelian_triple(G, r, s, t):

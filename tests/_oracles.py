@@ -10,6 +10,17 @@ from beauville.psl2 import SubgroupClass
 from beauville.structures import sigma_prime_fingerprints
 
 
+def add_digitwise(F, a, b):
+    """a + b in the odd extension field F, summed base-p digit by digit (the
+    encoding's definition of addition); a and b may be ints or numpy integer
+    arrays, which broadcast."""
+    p, value, place = F.p, 0, 1
+    for _ in range(F.e):
+        value = value + ((a // place) % p + (b // place) % p) % p * place
+        place *= p
+    return value
+
+
 def order_of_brute(G, a):
     """Element order by repeated multiplication."""
     k, cur = 1, a

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +184,38 @@ def test_absolute_trace_is_additive_to_prime_field():
         assert tr in (0, 1)
     zeros = sum(1 for a in f.elements() if f.absolute_trace(a) == 0)
     assert zeros == f.q // 2  # trace is a balanced F_2-linear form
+
+
+# -- Zech-log addition against the digit-wise oracle --------------------------
+
+ODD_EXTENSIONS = [(p, e) for p in (3, 5, 7, 11, 13, 17, 19, 23)
+                  for e in range(2, 7) if p ** e <= 729]
+
+
+@pytest.mark.parametrize("p,e", ODD_EXTENSIONS)
+def test_zech_add_and_sub_match_digitwise_oracle_on_every_pair(p, e):
+    from _oracles import add_digitwise
+    f = gf(p, e)
+    a, b = np.arange(f.q)[:, None], np.arange(f.q)[None, :]
+    total = np.array([[f.add(x, y) for y in range(f.q)] for x in range(f.q)])
+    assert (total == add_digitwise(f, a, b)).all()
+    # (a - b) + b = a has one solution, so this pins sub as well
+    diff = np.array([[f.sub(x, y) for y in range(f.q)] for x in range(f.q)])
+    assert (add_digitwise(f, diff, b) == a).all()
+
+
+@pytest.mark.parametrize("e", [7, 10])  # 3^10 is the largest table under the cap
+def test_zech_add_and_sub_match_digitwise_oracle_on_large_fields(e):
+    from _oracles import add_digitwise
+    f = gf(3, e)
+    rng = random.Random(f"zech:3^{e}")
+    a = [f.random(rng) for _ in range(50_000)]
+    b = [f.random(rng) for _ in range(50_000)]
+    # sums of zero: x + 0, 0 + x and x + (-x)
+    a += [0, a[0], a[1]]
+    b += [b[0], 0, f.neg(a[1])]
+    a_arr, b_arr = np.array(a), np.array(b)
+    total = np.array([f.add(x, y) for x, y in zip(a, b)])
+    assert (total == add_digitwise(f, a_arr, b_arr)).all()
+    diff = np.array([f.sub(x, y) for x, y in zip(a, b)])
+    assert (add_digitwise(f, diff, b_arr) == a_arr).all()

@@ -150,6 +150,70 @@ def test_certificate_never_fires_on_proper_subgroups(name, case, order):
         assert _bsgs_generates(G, x, y) is False
 
 
+# -- n <= 7: bounded closure against the BSGS oracle ---------------------------
+
+@pytest.mark.parametrize("desc", ["alt:5", "sym:5"])
+def test_closure_decider_agrees_with_bsgs_on_every_pair(desc):
+    G = parse_group(desc)
+    elements = list(G.iter_elements())
+    generating = 0
+    for i, x in enumerate(elements):
+        for y in elements[i:]:  # <x, y> = <y, x>: one oracle run per pair
+            truth = _bsgs_generates(G, x, y)
+            assert G.generates(x, y) == G.generates(y, x) == truth, (
+                format_cycles(x), format_cycles(y))
+            generating += truth * (1 if x == y else 2)
+    # P(A5) = 19/30 and P(S5) = 19/40 (P. Hall, 1936)
+    assert generating == {"alt:5": 60 ** 2 * 19 // 30, "sym:5": 120 ** 2 * 19 // 40}[desc]
+
+
+@pytest.mark.parametrize("desc", ["alt:6", "alt:7", "sym:6", "sym:7"])
+def test_closure_decider_agrees_with_bsgs_on_random_pairs(desc):
+    G = parse_group(desc)
+    rng = random.Random(f"closure:{desc}")
+    generating = 0
+    for _ in range(150):
+        x, y = G.random_element(rng), G.random_element(rng)
+        truth = _bsgs_generates(G, x, y)
+        assert G.generates(x, y) == truth, (format_cycles(x), format_cycles(y))
+        generating += truth
+    assert 0 < generating < 150
+
+
+def _fano_pair():
+    # a Singer 7-cycle v -> t v of F_8 = F_2[t]/(t^3 + t + 1) and the
+    # transvection v -> v + v_0 t on the 7 nonzero vectors: PSL2(7) = GL3(2)
+    def singer(v):
+        v <<= 1
+        return v ^ 0b1011 if v & 0b1000 else v
+    x = tuple(singer(v) - 1 for v in range(1, 8))
+    y = tuple((v ^ (0b10 if v & 1 else 0)) - 1 for v in range(1, 8))
+    return 7, x, y
+
+
+SMALL_PROPER = [  # (name, (n, x, y), order of <x, y>); the first two sit
+    # exactly at the closure bound |G|/n, so an off-by-one bound accepts them
+    ("PSL2(5) on 6 points, order |A6|/6", _psl2_pair(5), 60),
+    ("PGL2(5) on 6 points, order |S6|/6", _psl2_pair(5, nu=2), 120),
+    ("PSL2(7) on 7 points", _fano_pair(), 168),
+    ("AGL1(5), z -> 2z odd", _agl1_pair(5, 2), 20),
+    ("AGL1(7), z -> 3z odd", _agl1_pair(7, 3), 42),
+]
+
+
+@pytest.mark.parametrize("name,case,order", SMALL_PROPER,
+                         ids=[name for name, _, _ in SMALL_PROPER])
+def test_closure_decider_refuses_proper_subgroups(name, case, order):
+    n, x, y = case
+    assert BSGS([x, y], n).order == order
+    handles = [SymmetricGroup(n)]
+    if parity(x) == parity(y) == 0:
+        handles.append(AlternatingGroup(n))
+    for G in handles:
+        assert G.generates(x, y) is False
+        assert _bsgs_generates(G, x, y) is False
+
+
 def test_intransitive_pair_refused_although_the_walk_meets_a_5_cycle():
     # the certificate proves A_n only for transitive groups: <x, y> = A7
     # fixing the point 8 holds 5-cycles, inside the window for n = 8

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from beauville.groups import AbelianSquare, GroupError, parse_group
-from beauville.perms import AlternatingGroup, SymmetricGroup
+from beauville.perms import BSGS, AlternatingGroup, SymmetricGroup, parity
 from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
                                   classify_triangle, find_generating_triple,
@@ -90,6 +90,25 @@ def test_perm_triple_and_unrealizable():
         find_generating_triple(AlternatingGroup(5), 4, 5, 5)  # no order 4 in A5
     with pytest.raises(Unrealizable, match="no permutation of order 7"):
         find_generating_triple(SymmetricGroup(5), 2, 5, 7)
+
+
+@pytest.mark.parametrize("n,orders", [
+    (4, (2, 3, 4)), (5, (2, 4, 5)), (5, (2, 5, 4)), (6, (2, 5, 6)), (6, (3, 4, 6))])
+def test_symmetric_triple_takes_an_odd_generator(n, orders):
+    # each type occurs in S_n but only with x or y odd; even shapes for both
+    # would leave every attempt inside A_n
+    g = SymmetricGroup(n)
+    tri = find_generating_triple(g, *orders)
+    assert parity(tri.x) or parity(tri.y)
+    assert tuple(g.order_of(m) for m in (tri.x, tri.y, tri.z)) == orders
+    assert g.multiply(g.multiply(tri.x, tri.y), tri.z) == g.identity()
+    assert BSGS([tri.x, tri.y], n).order == g.order
+
+
+def test_symmetric_triple_without_odd_parities_is_unrealizable():
+    # every element of order 3 in S5 is even, so no (3,3,3) pair generates S5
+    with pytest.raises(Unrealizable, match="x or y must be odd"):
+        find_generating_triple(SymmetricGroup(5), 3, 3, 3)
 
 
 def test_abelian_triple():
