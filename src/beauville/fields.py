@@ -6,7 +6,10 @@ vector of the residue polynomial in base p: the element
 For prime fields (e == 1) the encoding is the residue itself and all
 arithmetic is native modular arithmetic.  For extension fields a generator
 of the multiplicative group is found once and multiplication, inversion and
-powers go through exp/log tables, which keeps the PSL2 hot loops fast.
+powers go through exp/log tables, which keeps the PSL2 hot loops fast.  The
+tables cost O(q) small steps, not a polynomial product per entry: each
+power of the generator is a sum of shifted copies reduced by the modulus
+(``_build_tables``), and negation and Zech logarithms are read off them.
 Addition is XOR in characteristic 2; in odd characteristic it goes through
 Zech logarithms, ``a + b = a * (1 + b/a)`` with ``log(1 + g**k)`` tabled
 once per field, so no operation loops over the base-p digits.
@@ -25,9 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .numutil import factorize, is_prime, prime_factors
 
-_TABLE_CAP = 1 << 16  # build exp/log/digit tables only for q below this
+_TABLE_CAP = 1 << 16  # build exp/log tables only for q below this
 
 
 class FieldError(ValueError):
@@ -40,7 +45,7 @@ class ZeroDivisionInField(FieldError):
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (little-endian coefficient lists), used only
-# for modulus selection and table construction
+# for modulus selection and the generator test
 # ---------------------------------------------------------------------------
 
 def _poly_trim(a):
@@ -83,6 +88,22 @@ def _poly_powmod(a, k, mod, p):
         base = _poly_mulmod(base, base, mod, p)
         k >>= 1
     return result
+
+
+def _poly_eval(a, x, p):
+    value = 0
+    for c in reversed(a):
+        value = (value * x + c) % p
+    return value
+
+
+def _digits_of(value, p, e):
+    """The e base-p digits of value, least significant first."""
+    out = []
+    for _ in range(e):
+        value, c = divmod(value, p)
+        out.append(c)
+    return out
 
 
 def _poly_gcd(a, b, p):
@@ -128,13 +149,9 @@ def find_irreducible(p: int, e: int) -> tuple[int, ...]:
     if e == 1:
         return (0, 1)
     for value in range(p**e):
-        coeffs = []
-        v = value
-        for _ in range(e):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if _is_irreducible(coeffs, p):
+        coeffs = _digits_of(value, p, e) + [1]
+        # a root in F_p is a linear factor; the Rabin test decides the rest
+        if all(_poly_eval(coeffs, x, p) for x in range(p)) and _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -193,9 +210,7 @@ class GF:
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Decode to the length-e coefficient vector, constant term first."""
-        if self.e == 1:
-            return (a,)
-        return self._digits[a]
+        return tuple(_digits_of(a, self.p, self.e))
 
     def __eq__(self, other):
         return (isinstance(other, GF)
@@ -405,81 +420,76 @@ class GF:
     # -- internal table construction -------------------------------------------
 
     def _build_tables(self):
+        """Exp/log, negation and Zech tables, with O(e**2) digit work per entry.
+
+        p = 2: a vector is the int itself, and exp steps g**k -> g**(k+1) as
+        the XOR of the shifted copies g**k * t**j over the set bits j of g.
+        Each ``* t`` is ``<< 1``, then an XOR of the modulus bits once the
+        t**e bit is set.  Odd p: exp doubles, g**(n+k) = g**k * g**n for
+        k < n, as one F_p-linear map on the digit rows of g**0 .. g**(n-1);
+        its matrix rows t**i * g**n come from the same shift-and-reduce.
+        """
         p, e, q = self.p, self.e, self.q
         mod = list(self.modulus)
-
-        def raw_mul(x, y):
-            ax, ay = [], []
-            vx, vy = x, y
-            for _ in range(e):
-                ax.append(vx % p)
-                vx //= p
-                ay.append(vy % p)
-                vy //= p
-            prod = _poly_mulmod(ax, ay, mod, p)
-            value = 0
-            for c in reversed(prod):
-                value = value * p + c
-            return value
-
-        digits = []
-        for a in range(q):
-            v, row = a, []
-            for _ in range(e):
-                row.append(v % p)
-                v //= p
-            digits.append(tuple(row))
-        self._digits = digits
-
-        if p != 2:
-            neg = [0] * q
-            for a in range(q):
-                value = 0
-                for d in reversed(digits[a]):
-                    value = value * p + (-d) % p
-                neg[a] = value
-            self._neg = neg
-        else:
-            self._neg = None  # negation is identity; neg() special-cases p == 2
-
-        # find a generator of the multiplicative group
+        # the generator: the smallest integer of multiplicative order q - 1
         fac = [r for r, _ in factorize(q - 1)]
-        gen = None
-        for cand in range(2, q):
-            if all(_int_pow(cand, (q - 1) // r, raw_mul) != 1 for r in fac):
-                gen = cand
-                break
-        if gen is None:
-            raise AssertionError("no multiplicative generator found")
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        cur = 1
-        for k in range(q - 1):
-            exp[k] = cur
-            log[cur] = k
-            cur = raw_mul(cur, gen)
-        for k in range(q - 1, 2 * (q - 1)):
-            exp[k] = exp[k - (q - 1)]
-        self._exp = exp
-        self._log = log
+        gen = next(c for c in range(2, q) if all(
+            _poly_trim(_poly_powmod(_digits_of(c, p, e), (q - 1) // r, mod, p)) != [1]
+            for r in fac))
+        if p == 2:
+            lead, full = 1 << e, sum(c << i for i, c in enumerate(mod))
+            g0, *gtail = _poly_trim(_digits_of(gen, 2, e))
+            exp = [1] * (q - 1)
+            cur = 1
+            for k in range(1, q - 1):
+                acc = cur if g0 else 0
+                for g in gtail:
+                    cur <<= 1
+                    if cur & lead:
+                        cur ^= full
+                    if g:
+                        acc ^= cur
+                exp[k] = cur = acc
+            exp = np.array(exp, dtype=np.int64)
+        else:
+            place = p ** np.arange(e, dtype=np.int64)
+            exp = np.ones(1, dtype=np.int64)
+            h = _digits_of(gen, p, e)  # digits of g**n, n = len(exp)
+            while len(exp) < q - 1:
+                rows = [h]
+                for _ in range(e - 1):
+                    rows.append(_times_t(rows[-1], mod, p))
+                rows = np.array(rows, dtype=np.int64)
+                digits = exp[:, None] // place % p
+                exp = np.concatenate((exp, digits @ rows % p @ place))
+                h = (np.array(h) @ rows % p).tolist()
+            exp = exp[:q - 1]
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist() * 2
+        self._log = log.tolist()
         self.generator = gen
         if p != 2:
+            # neg(g**k) = g**(k + (q-1)/2), since g**((q-1)/2) = -1
+            half = (q - 1) // 2
+            neg = exp[(log + half) % (q - 1)]
+            neg[0] = 0
+            self._neg = neg.tolist()
             # Zech logarithms zech[k] = log(1 + g**k); adding 1 steps the
             # constant digit of the encoding.  1 + g**k = 0 only at
             # g**((q-1)/2) = -1, marked -1.
-            zech = [log[v + 1 - p * (v % p == p - 1)] for v in exp[:q - 1]]
-            zech[(q - 1) // 2] = -1
-            self._zech = zech
+            zech = log[exp + 1 - p * (exp % p == p - 1)]
+            zech[half] = -1
+            self._zech = zech.tolist()
+        else:
+            self._neg = None  # negation is identity; neg() special-cases p == 2
 
 
-def _int_pow(a, k, raw_mul):
-    result = 1
-    while k:
-        if k & 1:
-            result = raw_mul(result, a)
-        a = raw_mul(a, a)
-        k >>= 1
-    return result
+def _times_t(v, mod, p):
+    """t * v for a length-e digit list v (constant first): shift up one
+    place and reduce t**e by the monic modulus."""
+    top = v[-1]
+    return [(c - top * m) % p for c, m in zip([0] + v[:-1], mod)]
 
 
 def _tonelli_shanks(a: int, p: int) -> int | None:

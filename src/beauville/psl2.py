@@ -457,15 +457,45 @@ class PSL2(Group):
     # -- element lookup by order -------------------------------------------------
 
     def traces_by_order(self) -> dict[int, list[int]]:
-        """Semisimple trace candidates for each projective order > 1,
-        scanned once in encoding order (unipotent traces excluded)."""
+        """Semisimple traces of each projective order > 1, each list in
+        encoding order and the orders keyed by their smallest trace
+        (unipotent traces excluded); fills the order memo for every trace.
+
+        Proof.  Each cyclic torus T/{+-1}, of order m = (q-1)/d (split) or
+        (q+1)/d (non-split), is walked once.  Let a0 be the first trace in
+        encoding order of projective order m, and x in SL2(q) of trace a0,
+        inside a torus T.  The image of x generates T/{+-1}, so x**k has
+        trace V_k(a0) (the Lucas sequence of the module docstring) and
+        projective order m / gcd(k, m).  An element of T is fixed up to
+        inversion by its eigenvalues {l, 1/l}, that is by its trace, so a
+        class of T/{+-1} is fixed up to inversion by the traces +-a of its
+        two lifts.  The classes of x**k and x**(m-k) are inverse, so +-V_k
+        for 1 <= k <= m // 2 lists the traces of every non-identity class
+        exactly once (V_k = -V_k counted once).  Every trace a != +-2 is
+        that of a semisimple element, which lies in a conjugate of one of
+        the two tori.  Split orders divide (q-1)/d and non-split ones
+        (q+1)/d, which are coprime, so a0 is on the side of m, and the two
+        walks list all q - 2 (q - 1 for even q) semisimple traces once.
+        """
         if self._traces_by_order_cache is None:
+            F = self.field
+            mul, sub, neg = F.mul, F.sub, F.neg
+            memo = self._order_by_trace
             table: dict[int, list[int]] = {}
-            for a in self.field.elements():
-                if self._is_pm2(a):
-                    continue
-                table.setdefault(self._semisimple_order(a), []).append(a)
-            self._traces_by_order_cache = table
+            for m in (self.split_order, self.nonsplit_order):
+                a0 = next(a for a in F.elements()
+                          if not self._is_pm2(a) and self._semisimple_order(a) == m)
+                v0, v1 = F.two, a0
+                for k in range(1, m // 2 + 1):
+                    order = m // math.gcd(k, m)
+                    traces = table.setdefault(order, [])
+                    for a in {v1, neg(v1)}:
+                        memo[a] = order
+                        traces.append(a)
+                    v0, v1 = v1, sub(mul(a0, v1), v0)
+            for traces in table.values():
+                traces.sort()
+            self._traces_by_order_cache = dict(sorted(table.items(), key=lambda kv: kv[1][0]))
         return self._traces_by_order_cache
 
     def realizable_orders(self):

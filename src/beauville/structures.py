@@ -34,6 +34,10 @@ from .numutil import is_prime, prime_factors
 
 DEFAULT_SEED = 1729
 PAIR_CAP = 2_000_000
+# 'auto' runs the pair census first up to this order: an order-60 census
+# takes a fraction of a second and certifies, where random search could only
+# end inconclusive (no non-abelian group this small has a structure)
+AUTO_CENSUS_ORDER = 60
 
 
 class Unrealizable(GroupError):
@@ -397,13 +401,16 @@ def search_structure(G: Group, strategy: str = "auto",
     nonexistence certificate; 'macbeath' (PSL2 only) builds triples from
     trace candidates, pairing split-order and nonsplit-order types whose
     products are coprime; 'random' draws seeded uniform quadruples.
-    'auto' picks macbeath -> random for PSL2, exhaustive for small
-    Zn x Zn, random otherwise.
+    'auto' picks exhaustive for |G| <= AUTO_CENSUS_ORDER, then
+    macbeath -> random for PSL2, exhaustive for small Zn x Zn, random
+    otherwise.
     """
     targets = _validate_targets(target_types)
     from .psl2 import PSL2
     t0 = time.perf_counter()
     if strategy == "auto":
+        if G.order <= AUTO_CENSUS_ORDER:
+            return _exhaustive_search(G, targets, pair_cap, t0)
         if isinstance(G, PSL2):
             try:
                 return _macbeath_search(G, targets, t0)

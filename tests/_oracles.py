@@ -3,7 +3,9 @@ fast paths are checked against."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
+from beauville.fields import _is_irreducible, _poly_mulmod
 from beauville.groups import closure
 from beauville.numutil import prime_factors
 from beauville.psl2 import SubgroupClass
@@ -19,6 +21,71 @@ def add_digitwise(F, a, b):
         value = value + ((a // place) % p + (b // place) % p) % p * place
         place *= p
     return value
+
+
+def field_tables_brute(p, e):
+    """(modulus, generator, exp, log, zech, neg, digits) of GF(p**e), e > 1:
+    the first monic candidate passing the Rabin test, and tables built with
+    one polynomial product per power of the generator; zech and neg (None
+    for p = 2) come from digit-wise arithmetic."""
+    q = p**e
+    digits = []
+    for a in range(q):
+        v, row = a, []
+        for _ in range(e):
+            row.append(v % p)
+            v //= p
+        digits.append(tuple(row))
+    mod = next(list(row) + [1] for row in digits if _is_irreducible(list(row) + [1], p))
+
+    def raw_mul(x, y):
+        value = 0
+        for c in reversed(_poly_mulmod(list(digits[x]), list(digits[y]), mod, p)):
+            value = value * p + c
+        return value
+
+    def raw_pow(a, k):
+        result = 1
+        while k:
+            if k & 1:
+                result = raw_mul(result, a)
+            a = raw_mul(a, a)
+            k >>= 1
+        return result
+
+    gen = next(c for c in range(2, q)
+               if all(raw_pow(c, (q - 1) // r) != 1 for r in prime_factors(q - 1)))
+    exp, log = [1] * (2 * (q - 1)), [0] * q
+    cur = 1
+    for k in range(q - 1):
+        exp[k] = exp[k + q - 1] = cur
+        log[cur] = k
+        cur = raw_mul(cur, gen)
+    if p == 2:
+        return tuple(mod), gen, exp, log, None, None, digits
+    field = SimpleNamespace(p=p, e=e)
+    sums = [add_digitwise(field, 1, v) for v in exp[:q - 1]]
+    zech = [log[s] if s else -1 for s in sums]
+    neg = [sum((-c % p) * p**i for i, c in enumerate(row)) for row in digits]
+    return tuple(mod), gen, exp, log, zech, neg, digits
+
+
+def traces_by_order_brute(G):
+    """(traces by order, order by trace) of PSL2 ``G`` from a scan of every
+    semisimple trace in encoding order, each order by a Lucas-ladder
+    descent from the order of its torus."""
+    table, orders = {}, {}
+    for a in G.field.elements():
+        if G._is_pm2(a):
+            continue
+        m = G.split_order if G.is_split_trace(a) else G.nonsplit_order
+        order = m
+        for r in prime_factors(m):
+            while order % r == 0 and G._is_pm2(G.lucas_trace(order // r, a)):
+                order //= r
+        orders[a] = order
+        table.setdefault(order, []).append(a)
+    return table, orders
 
 
 def order_of_brute(G, a):

@@ -357,6 +357,20 @@ PINNED_DIGESTS = [
     (["verify", "--group", "alt:8", "--quad",
       "(1 2 3 4 5 6 7);(1 8)(2 7)(3 4)(5 6);(1 2 3 4 5 6 7);(1 2 3)"],
      "a15b9ebdc0c34b4eb540cf12badb07e226b1136826841106385fd6743f164cd9"),
+    # large-q exp/log tables and traces_by_order: Macbeath search, the
+    # trace-triple solver and the subgroup classifier on q ~ 10^4
+    (["search", "--group", "psl2:10007"],
+     "728ed54ee233dd7c23ad4841e3fd9c10b16db4bbd46e54b27b3d43f1c1f6aa6b"),
+    (["search", "--group", "psl2:2^13"],
+     "2eb7bcd737003ab4a5b5ae32523487dd92f1e6aae2c0b295168daa7e69d1dd91"),
+    (["search", "--group", "psl2:3^7"],
+     "396fb0aa6a29475494e139e5c7adcf284209229837e512a7203e57531b1a4fd1"),
+    (["triple", "--group", "psl2:2^13", "--r", "3", "--s", "5", "--t", "17"],
+     "07f37f327bf2a71c92b4a2675a8f205453593e83745467a045296086e7b77239"),
+    (["triple", "--group", "psl2:10007", "--r", "3", "--s", "4", "--t", "6"],
+     "085d7275656bd6b6dfc63603e0b3ebcaef0ce32fa4ec217d32774f984e96a552"),
+    (["classify", "--group", "psl2:3^7", "--pair", "[[1,1],[0,1]];[[1,0],[1,1]]"],
+     "cda0227d03f64c84f53bc91c8149fde2d3b93a7285026283bc1a94a67a05fe94"),
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from beauville.fields import (GF, FieldError, ZeroDivisionInField,
                               find_irreducible, gf, parse_field_descriptor)
+from beauville.numutil import is_prime
 
 TEST_SPECS = [(7, 1), (11, 1), (101, 1), (2, 2), (2, 3), (2, 7),
               (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (11, 2)]
@@ -219,3 +220,22 @@ def test_zech_add_and_sub_match_digitwise_oracle_on_large_fields(e):
     assert (total == add_digitwise(f, a_arr, b_arr)).all()
     diff = np.array([f.sub(x, y) for x, y in zip(a, b)])
     assert (add_digitwise(f, diff, b_arr) == a_arr).all()
+
+
+# every extension field with q <= 2^13, and GF(3^8)
+TABLE_ORACLE_FIELDS = [(p, e) for p in range(2, 91) if is_prime(p)
+                       for e in range(2, 14) if p ** e <= 2 ** 13] + [(3, 8)]
+
+
+@pytest.mark.parametrize("p,e", TABLE_ORACLE_FIELDS)
+def test_tables_match_polynomial_product_oracle(p, e):
+    from _oracles import field_tables_brute
+    f = GF(p, e)
+    mod, gen, exp, log, zech, neg, digits = field_tables_brute(p, e)
+    assert f.modulus == mod
+    assert f.generator == gen
+    assert f._exp == exp
+    assert f._log == log
+    assert getattr(f, "_zech", None) == zech
+    assert f._neg == neg
+    assert [f.coeffs(a) for a in f.elements()] == digits

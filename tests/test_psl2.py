@@ -6,9 +6,11 @@ from collections import Counter
 import pytest
 
 from beauville.groups import closure
+from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
-from _oracles import classify_pair_brute, crafted_psl2_pairs, order_of_brute
+from _oracles import (classify_pair_brute, crafted_psl2_pairs, order_of_brute,
+                      traces_by_order_brute)
 
 MACBEATH_SPECS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                   (5, 2), (7, 2), (101, 1)]
@@ -351,3 +353,16 @@ def test_canonical_payloads_unique():
     assert len(els) == len(set(els)) == g.order
     for m in els[:200]:
         g.check_element(m)
+
+
+TRACE_ORACLE_GROUPS = [(p, e) for p in range(2, 1025) if is_prime(p)
+                       for e in range(1, 11) if 4 <= p ** e <= 1024]
+TRACE_ORACLE_GROUPS += [(10007, 1), (2, 13), (3, 7)]
+
+
+@pytest.mark.parametrize("p,e", TRACE_ORACLE_GROUPS)
+def test_traces_by_order_matches_per_trace_ladder_scan(p, e):
+    g = PSL2(p, e)
+    table, orders = traces_by_order_brute(g)
+    assert list(g.traces_by_order().items()) == list(table.items())
+    assert g._order_by_trace == orders

@@ -279,6 +279,15 @@ def test_pair_census_refuses_before_enumerating_the_group():
     assert calls < 1000
 
 
+@pytest.mark.parametrize("descriptor",
+                         ["sym:3", "alt:4", "sym:4", "alt:5", "psl2:5", "psl2:2^2"])
+def test_auto_search_certifies_tiny_groups_by_census(descriptor):
+    out = search_structure(parse_group(descriptor), "auto")
+    assert not out.found
+    assert out.certificate["exhaustive"]
+    assert out.stats["strategy"] == "exhaustive"
+
+
 def test_random_search_inconclusive_on_a5():
     with pytest.raises(SearchInconclusive):
         search_structure(AlternatingGroup(5), "random", max_attempts=500)
