@@ -54,13 +54,18 @@ def _table_path(descriptor: str) -> str:
 
 
 def _load_or_compute_table(G: Group, cap: int, save: bool = True) -> CharacterTable:
-    """The cached table of G; a missing, unreadable or invalid cache file
-    is a miss (invalid ones with a warning), recomputed and, with ``save``,
-    replaced atomically."""
+    """The cached table of G; a missing, unreadable or invalid cache file,
+    or one holding the table of another group, is a miss (all but missing
+    ones with a warning), recomputed and, with ``save``, replaced
+    atomically."""
     path = _table_path(G.descriptor())
     try:
         with open(path, encoding="utf-8") as fh:
             table = CharacterTable.from_json(fh.read())
+        if (table.group, table.group_order) != (G.descriptor(), G.order):
+            raise ValueError(
+                f"it holds the table of {table.group} (order "
+                f"{table.group_order}), not of {G.descriptor()} (order {G.order})")
         table.validate()
         return table
     except FileNotFoundError:

@@ -12,8 +12,11 @@ The brute count is ground truth; the character path exists to embody the
 formula and to reuse persisted tables.  Character tables are computed with
 the Burnside class-matrix method: the class-sum matrices commute, their
 common eigenvectors are the central characters, and degrees follow from
-the orthogonality relation.  Values are stored as complex floats with a
-declared tolerance of 1e-8 rather than exact cyclotomics.
+the orthogonality relation.  The matrices are built one class at a time
+and only until a random combination of those built so far has distinct
+eigenvalues, which usually takes a few of the k (Dixon).  Values are
+stored as complex floats with a declared tolerance of 1e-8 rather than
+exact cyclotomics.
 """
 from __future__ import annotations
 
@@ -176,33 +179,62 @@ class CharacterTable:
         return cls.from_payload(json.loads(text))
 
 
-def _class_matrices(partition: ClassPartition) -> list[np.ndarray]:
-    """Matrices A_i with (A_i)[j, l] = #{u in C_i : u**-1 w_l in C_j}, the
-    structure constants of the class sums in the center of the group
-    algebra."""
+def _class_matrix(partition: ClassPartition, i: int) -> np.ndarray:
+    """A_i with (A_i)[j, l] = #{u in C_i : u**-1 w_l in C_j}: the structure
+    constants of the i-th class sum in the center of the group algebra,
+    at a cost of |C_i| * k products."""
     G = partition.group
     k = len(partition)
-    reps = [c.representative for c in partition.classes]
-    mats = []
-    for i in range(k):
-        A = np.zeros((k, k))
-        for u in partition.members(i):
-            u_inv = G.inverse(u)
-            for l, w in enumerate(reps):
-                j = partition.class_of(G.multiply(u_inv, w))
-                A[j, l] += 1
-        mats.append(A)
-    return mats
+    A = np.zeros((k, k))
+    for u in partition.members(i):
+        u_inv = G.inverse(u)
+        for l, c in enumerate(partition.classes):
+            A[partition.class_of(G.multiply(u_inv, c.representative)), l] += 1
+    return A
+
+
+def _matrix_order(partition: ClassPartition) -> list[int]:
+    """Class indices in the order their matrices are built: the first class
+    of each element order, by decreasing order, then the remaining classes
+    by (decreasing order, index)."""
+    ranked = sorted(range(len(partition)),
+                    key=lambda i: (-partition.classes[i].element_order, i))
+    first: dict[int, int] = {}
+    for i in ranked:
+        first.setdefault(partition.classes[i].element_order, i)
+    lead = list(first.values())
+    return lead + [i for i in ranked if i not in lead]
+
+
+def _central_characters(M: np.ndarray, id_idx: int):
+    """Rows omega(K_l) of the eigenvectors of M, scaled to 1 at the identity
+    class, or None if two eigenvalues lie within 1e-7 times the largest
+    eigenvalue modulus (at least 1)."""
+    k = len(M)
+    eigvals, eigvecs = np.linalg.eig(M)
+    spread = max(1.0, float(np.max(np.abs(eigvals))))
+    if k > 1:
+        dists = np.abs(eigvals[:, None] - eigvals[None, :])
+        dists += np.eye(k) * spread
+        if float(np.min(dists)) < 1e-7 * spread:
+            return None
+    return (eigvecs / eigvecs[id_idx, :]).T
 
 
 def character_table(group_or_partition, cap: int = TABLE_CAP,
                     class_cap: int = CLASS_CAP, seed: int = 7) -> CharacterTable:
     """Complex character table via simultaneous diagonalization of the
-    class matrices.
+    class matrices, built lazily.
 
-    A random real combination of the class matrices has the k central
-    characters as eigenvectors with (generically) distinct eigenvalues;
-    degenerate draws are retried with fresh coefficients.  Degrees are
+    The class matrices A_i are the regular representation of the center
+    Z(CG), which is commutative, so they commute.  If M_S = sum over i in S
+    of c_i A_i has k distinct eigenvalues, each eigenspace of M_S is a line,
+    and every A_i preserves it (A_i commutes with M_S); so the eigenvectors
+    of M_S are the common eigenvectors of all A_i, the central characters.
+    The A_i are therefore built one at a time (see ``_matrix_order``) and
+    added with random coefficients c_i until M_S separates; a few classes
+    usually suffice (Dixon, Numer. Math. 10, 1967).  If all k do not, fresh
+    coefficients over all k matrices are drawn up to 24 times.  Degrees are
     recovered from the self-orthogonality relation and must round to
     integers with sum of squares |G|.
     """
@@ -219,26 +251,26 @@ def character_table(group_or_partition, cap: int = TABLE_CAP,
         raise CapExceeded(f"{k} classes exceed the class cap {class_cap}",
                           required=k, cap=class_cap)
     n = partition.group.order
-    mats = _class_matrices(partition)
     sizes = np.array([c.size for c in partition.classes], dtype=float)
     id_idx = next(i for i, c in enumerate(partition.classes)
                   if c.element_order == 1)
 
     rng = np.random.default_rng(seed)
+    mats = []
+    M = np.zeros((k, k))
     omegas = None
-    for _ in range(24):
+    for i in _matrix_order(partition):
+        mats.append(_class_matrix(partition, i))
+        M += rng.standard_normal() * mats[-1]
+        omegas = _central_characters(M, id_idx)
+        if omegas is not None:
+            break
+    for _ in range(24):  # no prefix separated: fresh draws over all k
+        if omegas is not None:
+            break
         coeffs = rng.standard_normal(k)
-        M = sum(c * A for c, A in zip(coeffs, mats))
-        eigvals, eigvecs = np.linalg.eig(M)
-        spread = max(1.0, float(np.max(np.abs(eigvals))))
-        if k > 1:
-            dists = np.abs(eigvals[:, None] - eigvals[None, :])
-            dists += np.eye(k) * spread
-            if float(np.min(dists)) < 1e-7 * spread:
-                continue  # degenerate draw; retry with fresh coefficients
-        vecs = eigvecs / eigvecs[id_idx, :]
-        omegas = vecs.T  # rows: central characters omega(K_l)
-        break
+        omegas = _central_characters(
+            sum(c * A for c, A in zip(coeffs, mats)), id_idx)
     if omegas is None:
         raise TableInvalid("class-matrix eigenvalues would not separate")
 

@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
+from itertools import chain, combinations_with_replacement, islice, product
 
 from .counting import ClassPartition
 from .groups import CapExceeded, Group, GroupError
@@ -563,12 +563,10 @@ def _macbeath_search(G, targets, t0):
         candidates = [targets]
     else:
         m, n, p = G.split_order, G.nonsplit_order, G.p
-        candidates = []
-        for tau1, tau2 in (((m, m, m), (n, n, n)), ((m, m, m), (n, n, p))):
-            if (classify_triangle(*tau1).kind == "hyperbolic"
-                    and classify_triangle(*tau2).kind == "hyperbolic"):
-                candidates.append((tuple(sorted(tau1)), tuple(sorted(tau2))))
-        candidates.extend(_coprime_type_pairs(G))
+        split = [(tuple(sorted(tau1)), tuple(sorted(tau2)))
+                 for tau1, tau2 in (((m, m, m), (n, n, n)), ((m, m, m), (n, n, p)))
+                 if _hyperbolic(tau1) and _hyperbolic(tau2)]
+        candidates = chain(split, _coprime_type_pairs(G))
     attempts = 0
     last_error = None
     for tau1, tau2 in candidates:
@@ -591,12 +589,19 @@ def _macbeath_search(G, targets, t0):
         f"{G.descriptor()}" + (f" (last: {last_error})" if last_error else ""))
 
 
+def _hyperbolic(tau) -> bool:
+    """1/r + 1/s + 1/t < 1, in integers: rs + st + tr < rst."""
+    r, s, t = tau
+    return r * s + s * t + t * r < r * s * t
+
+
 def _coprime_type_pairs(G, limit: int = 40):
-    """Hyperbolic type pairs with coprime order products, smallest first."""
+    """Hyperbolic type pairs with coprime order products, smallest first.
+
+    A generator: nothing is built until the first pair is asked for."""
     orders = sorted(o for o in G.realizable_orders() if o >= 2)
-    triples = sorted((tau for tau in combinations_with_replacement(orders, 3)
-                      if classify_triangle(*tau).kind == "hyperbolic"),
+    triples = sorted(filter(_hyperbolic, combinations_with_replacement(orders, 3)),
                      key=lambda tau: (math.prod(tau), tau))
     pairs = ((tau1, tau2) for tau1, tau2 in combinations_with_replacement(triples, 2)
              if math.gcd(math.prod(tau1), math.prod(tau2)) == 1)
-    return list(islice(pairs, limit))
+    yield from islice(pairs, limit)

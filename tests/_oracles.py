@@ -2,8 +2,11 @@
 fast paths are checked against."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
+
+import numpy as np
 
 from beauville.fields import _is_irreducible, _poly_mulmod
 from beauville.groups import closure
@@ -120,6 +123,54 @@ def frobenius_table_brute(partition, i):
             counts[j][kk] += 1
     size = partition.classes[i].size
     return [[size * c for c in row] for row in counts]
+
+
+def class_matrices_all(partition):
+    """Every class matrix A_i, (A_i)[j, l] = #{u in C_i : u**-1 w_l in C_j},
+    at a cost of |G| * k products."""
+    G = partition.group
+    k = len(partition)
+    reps = [c.representative for c in partition.classes]
+    mats = []
+    for i in range(k):
+        A = np.zeros((k, k))
+        for u in partition.members(i):
+            u_inv = G.inverse(u)
+            for l, w in enumerate(reps):
+                A[partition.class_of(G.multiply(u_inv, w)), l] += 1
+        mats.append(A)
+    return mats
+
+
+def character_rows_all_matrices(partition, seed=7):
+    """(degrees, values) of the character table from a random combination
+    of all k class matrices, rows in the order ``character_table`` uses
+    (trivial first, then by degree and values rounded to 6 places)."""
+    mats = class_matrices_all(partition)
+    k = len(mats)
+    n = partition.group.order
+    sizes = np.array([c.size for c in partition.classes], dtype=float)
+    id_idx = next(i for i, c in enumerate(partition.classes)
+                  if c.element_order == 1)
+    rng = np.random.default_rng(seed)
+    for _ in range(24):
+        eigvals, eigvecs = np.linalg.eig(
+            sum(c * A for c, A in zip(rng.standard_normal(k), mats)))
+        spread = max(1.0, float(np.max(np.abs(eigvals))))
+        dists = np.abs(eigvals[:, None] - eigvals[None, :]) + np.eye(k) * spread
+        if float(np.min(dists)) >= 1e-7 * spread:
+            break
+    else:
+        raise AssertionError("class-matrix eigenvalues would not separate")
+    rows = []
+    for om in (eigvecs / eigvecs[id_idx, :]).T:
+        deg = round(math.sqrt(n / float(np.sum(np.abs(om) ** 2 / sizes))))
+        rows.append((deg, [complex(v) for v in deg * om / sizes]))
+    trivial = min(rows, key=lambda r: max(abs(v - 1) for v in r[1]))
+    rest = sorted((r for r in rows if r is not trivial), key=lambda r: (
+        r[0], [(round(v.real, 6), round(v.imag, 6)) for v in r[1]]))
+    ordered = [trivial] + rest
+    return [d for d, _ in ordered], [v for _, v in ordered]
 
 
 def brute_conjugacy_partition(G, elements=None):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import pytest
 
@@ -265,6 +266,26 @@ def test_corrupt_table_cache_is_recomputed(capsys, tmp_path, monkeypatch, argv):
         assert sorted(os.listdir(tmp_path)) == ["alt_5.v1.json"]
 
 
+@pytest.mark.parametrize("save", [False, True], ids=["zeta", "zeta-after-save"])
+def test_table_of_another_group_is_recomputed(capsys, tmp_path, monkeypatch, save):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+    code, _ = _run(capsys, ["chartable", "--group", "alt:5", "--save"])
+    assert code == 0
+    path = tmp_path / "psl2_7.v1.json"
+    shutil.copy(tmp_path / "alt_5.v1.json", path)
+    if save:  # --save replaces the foreign table with the right one
+        code = run(["chartable", "--group", "psl2:7", "--save", "--no-timing"])
+        assert code == 0 and "table of alt:5 (order 60)" in capsys.readouterr().err
+        assert json.loads(path.read_text())["group"] == "psl2:7"
+    code = run(["zeta", "--group", "psl2:7", "--s", "2", "--format", "json",
+                "--no-timing"])
+    captured = capsys.readouterr()
+    result = json.loads(captured.out)["result"]
+    assert code == 0 and result["degrees"] == [1, 3, 3, 6, 7, 8]
+    assert abs(result["zeta"] - 1.2860) < 1e-4
+    assert ("warning:" in captured.err) != save
+
+
 def test_table_from_an_older_layout_is_a_miss(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
     (tmp_path / "alt_5.json").write_text("{bad")  # unversioned name
@@ -371,12 +392,23 @@ PINNED_DIGESTS = [
      "085d7275656bd6b6dfc63603e0b3ebcaef0ce32fa4ec217d32774f984e96a552"),
     (["classify", "--group", "psl2:3^7", "--pair", "[[1,1],[0,1]];[[1,0],[1,1]]"],
      "cda0227d03f64c84f53bc91c8149fde2d3b93a7285026283bc1a94a67a05fe94"),
+    # character tables from lazily built class matrices (the Witten zeta
+    # degrees and a 15-class table) and the lazy Macbeath type-pair walk
+    (["zeta", "--group", "psl2:3^3", "--s", "2"],
+     "a7a83b0ff24c9092e5cb56bddab824ef6db8ea4d293323714e1405a3304a2501"),
+    (["zeta", "--group", "psl2:17", "--s", "2"],
+     "332059a97560f48632334887dfedf6c4a12fe8e5d43fe73127254b855970e483"),
+    (["chartable", "--group", "sym:7"],
+     "2b5eed01644fc0d9a8be71fa2275724b45f2920fe3853e3796c234f5599f904d"),
+    (["search", "--group", "psl2:1009"],
+     "559b655530ae4f2f30b268cea1c8218e23aeae1709003f1e06d6515c2a3e3275"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", PINNED_DIGESTS,
                          ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS])
-def test_pinned_json_output(capsys, argv, digest):
+def test_pinned_json_output(capsys, tmp_path, monkeypatch, argv, digest):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))  # no stale table
     _, out = _run(capsys, argv + ["--no-timing", "--format", "json"])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -3,12 +3,12 @@ import pytest
 from beauville.groups import AbelianSquare, CapExceeded, parse_group
 from beauville.perms import AlternatingGroup
 from beauville.psl2 import PSL2
-from beauville.counting import (CharacterTable, TableInvalid,
+from beauville.counting import (VALUE_TOLERANCE, CharacterTable, TableInvalid,
                                 character_table, conjugacy_classes,
                                 frobenius_count_brute,
                                 frobenius_count_character, witten_zeta)
 
-from _oracles import frobenius_table_brute
+from _oracles import character_rows_all_matrices, frobenius_table_brute
 
 ORACLE_GROUPS = ["alt:5", "alt:6", "psl2:7", "psl2:2^3", "ab:5"]
 
@@ -97,6 +97,39 @@ def test_table_invariants(descriptor):
     table = character_table(g)
     table.validate()  # sum deg^2, trivial first, row+column orthogonality
     assert sum(d * d for d in table.degrees) == g.order
+
+
+LAZY_TABLE_GROUPS = ORACLE_GROUPS + [
+    f"sym:{n}" for n in range(3, 8)] + ["alt:7"] + [
+    f"ab:{n}" for n in range(2, 8)] + [
+    f"psl2:{q}" for q in ("2^2", 5, 7, "2^3", "3^2", 11, 13, "2^4", 17, 19,
+                          "5^2", "3^3")]
+
+
+@pytest.mark.parametrize("descriptor", sorted(set(LAZY_TABLE_GROUPS)))
+def test_lazy_table_matches_table_from_all_class_matrices(descriptor):
+    part = conjugacy_classes(parse_group(descriptor))
+    table = character_table(part)
+    degrees, values = character_rows_all_matrices(part)
+    assert table.degrees == degrees
+    for row, expect in zip(table.values, values):
+        assert max(abs(a - b) for a, b in zip(row, expect)) < VALUE_TOLERANCE
+
+
+def test_lazy_table_builds_few_class_matrices():
+    g = parse_group("psl2:3^3")
+    part = conjugacy_classes(g)
+    calls = 0
+    multiply = g.multiply
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return multiply(a, b)
+
+    g.multiply = counted
+    character_table(part)
+    assert 0 < calls <= 0.35 * len(part) * g.order
 
 
 def test_table_cap():

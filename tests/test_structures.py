@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from beauville.structures import (SearchInconclusive, Unrealizable,
                                   classify_triangle, find_generating_triple,
                                   is_hurwitz_psl2, pair_census, search_structure,
                                   sigma_prime_fingerprints, verify_quadruple)
+from beauville.structures import _coprime_type_pairs, _hyperbolic
 
 from _oracles import sigma_full_fingerprints, sigma_prime_walk
 
@@ -29,11 +32,23 @@ def test_triangle_classification():
 
 
 def test_measure_positive_iff_hyperbolic():
-    for r in range(2, 9):
-        for s in range(r, 9):
-            for t in range(s, 9):
-                tri = classify_triangle(r, s, t)
-                assert (tri.measure > 0) == (tri.kind == "hyperbolic")
+    # also: the integer test the Macbeath type-pair walk uses agrees
+    for tau in itertools.combinations_with_replacement(range(2, 31), 3):
+        tri = classify_triangle(*tau)
+        assert (tri.measure > 0) == (tri.kind == "hyperbolic") == _hyperbolic(tau)
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:3^2", "psl2:11", "psl2:2^4"])
+def test_coprime_type_pairs_keep_their_order(descriptor):
+    # the eager construction with Fraction arithmetic they replace
+    G = parse_group(descriptor)
+    orders = sorted(o for o in G.realizable_orders() if o >= 2)
+    triples = sorted((tau for tau in itertools.combinations_with_replacement(orders, 3)
+                      if classify_triangle(*tau).kind == "hyperbolic"),
+                     key=lambda tau: (math.prod(tau), tau))
+    pairs = [(a, b) for a, b in itertools.combinations_with_replacement(triples, 2)
+             if math.gcd(math.prod(a), math.prod(b)) == 1][:40]
+    assert pairs and list(_coprime_type_pairs(G)) == pairs
 
 
 # -- hurwitz criterion -----------------------------------------------------------
