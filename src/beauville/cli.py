@@ -53,11 +53,12 @@ def _table_path(descriptor: str) -> str:
     return os.path.join(cache_dir(), f"{name}.v{TABLE_FORMAT}.json")
 
 
-def _load_or_compute_table(G: Group, cap: int, save: bool = True) -> CharacterTable:
-    """The cached table of G; a missing, unreadable or invalid cache file,
-    or one holding the table of another group, is a miss (all but missing
-    ones with a warning), recomputed and, with ``save``, replaced
-    atomically."""
+def _load_or_compute_table(source, cap: int, save: bool = True) -> CharacterTable:
+    """The cached table of G, the group ``source`` or that of the partition
+    ``source`` (which a miss reuses); a missing, unreadable or invalid file,
+    or one holding another group's table, is a miss (all but missing ones
+    with a warning), recomputed and, with ``save``, replaced atomically."""
+    G = source.group if isinstance(source, ClassPartition) else source
     path = _table_path(G.descriptor())
     try:
         with open(path, encoding="utf-8") as fh:
@@ -73,7 +74,7 @@ def _load_or_compute_table(G: Group, cap: int, save: bool = True) -> CharacterTa
     except (OSError, ValueError, KeyError, TypeError, TableInvalid) as exc:
         print(f"warning: recomputing the character table, cache file {path} "
               f"is unusable: {type(exc).__name__}: {exc}", file=sys.stderr)
-    table = character_table(G, cap=cap)
+    table = character_table(source, cap=cap)
     if save:
         os.makedirs(cache_dir(), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
@@ -335,7 +336,7 @@ def _cmd_frobenius(args):
     if args.method == "brute":
         count = frobenius_count_brute(partition, args.i, args.j, args.k)
     else:
-        table = _load_or_compute_table(G, args.cap_table)
+        table = _load_or_compute_table(partition, args.cap_table)
         count = frobenius_count_character(table, args.i, args.j, args.k)
     return {"group": G.descriptor(), "method": args.method, "count": count,
             "classes": [partition.classes[i].label()

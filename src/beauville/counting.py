@@ -34,6 +34,7 @@ INTEGER_TOLERANCE = 1e-6
 ENUMERATION_CAP = 1_000_000
 TABLE_CAP = 10_000
 CLASS_CAP = 60
+TABLE_SEED = 7  # seeds the random class-matrix combination coefficients
 
 
 class TableInvalid(RuntimeError):
@@ -221,8 +222,7 @@ def _central_characters(M: np.ndarray, id_idx: int):
     return (eigvecs / eigvecs[id_idx, :]).T
 
 
-def character_table(group_or_partition, cap: int = TABLE_CAP,
-                    class_cap: int = CLASS_CAP, seed: int = 7) -> CharacterTable:
+def character_table(group_or_partition, cap: int = TABLE_CAP) -> CharacterTable:
     """Complex character table via simultaneous diagonalization of the
     class matrices, built lazily.
 
@@ -236,26 +236,26 @@ def character_table(group_or_partition, cap: int = TABLE_CAP,
     usually suffice (Dixon, Numer. Math. 10, 1967).  If all k do not, fresh
     coefficients over all k matrices are drawn up to 24 times.  Degrees are
     recovered from the self-orthogonality relation and must round to
-    integers with sum of squares |G|.
+    integers with sum of squares |G|.  ``cap`` bounds |G| also when a
+    class partition is given.
     """
-    if isinstance(group_or_partition, ClassPartition):
-        partition = group_or_partition
-    else:
-        if group_or_partition.order > cap:
-            raise CapExceeded(
-                f"character table needs |G| = {group_or_partition.order} <= {cap}",
-                required=group_or_partition.order, cap=cap)
-        partition = ClassPartition(group_or_partition, cap)
+    partition = group_or_partition
+    group = partition.group if isinstance(partition, ClassPartition) else partition
+    if group.order > cap:
+        raise CapExceeded(f"character table needs |G| = {group.order} <= {cap}",
+                          required=group.order, cap=cap)
+    if partition is group:
+        partition = ClassPartition(group, cap)
     k = len(partition)
-    if k > class_cap:
-        raise CapExceeded(f"{k} classes exceed the class cap {class_cap}",
-                          required=k, cap=class_cap)
+    if k > CLASS_CAP:
+        raise CapExceeded(f"{k} classes exceed the class cap {CLASS_CAP}",
+                          required=k, cap=CLASS_CAP)
     n = partition.group.order
     sizes = np.array([c.size for c in partition.classes], dtype=float)
     id_idx = next(i for i, c in enumerate(partition.classes)
                   if c.element_order == 1)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TABLE_SEED)
     mats = []
     M = np.zeros((k, k))
     omegas = None

@@ -35,10 +35,11 @@ class SubgroupClass:
     """Dickson class of a two-generated subgroup of PSL2(q).
 
     kind is one of 'structural' (inside a Borel, or cyclic), 'dihedral',
-    'a4', 's4', 'a5', 'subfield', 'full'.  For subfield subgroups the
-    group is PSL2(p**degree) or PGL2(p**degree) up to conjugacy;
-    subfield_kind is 'psl', 'pgl' or 'unknown' when the cheap
-    discriminators cannot tell.
+    'a4', 's4', 'a5', 'subfield', 'full'.  Subfield groups isomorphic to
+    A4, S4 or A5 take those names (G itself, for q = 4 or 5, is 'full');
+    the others are PSL2(p**degree) or PGL2(p**degree) up to conjugacy,
+    subfield_kind 'psl', 'pgl' or 'unknown' when the cheap discriminators
+    cannot tell.
     """
 
     kind: str
@@ -68,11 +69,6 @@ class PSL2(Group):
         self.nonsplit_order = (self.q + 1) // self.d
         self._split_factors = prime_factors(self.split_order)
         self._nonsplit_factors = prime_factors(self.nonsplit_order)
-        # Largest proper subgroup order (Dickson: Borel, dihedral, A4, S4,
-        # A5, subfield; the Borel dominates subfield groups for q > 4).
-        # A closure that outgrows this bound certifies full generation.
-        borel = self.q * (self.q - 1) // self.d
-        self.proper_subgroup_bound = max(borel, 2 * (self.q + 1) // self.d, 60)
         self._traces_by_order_cache = None
         self._order_by_trace: dict[int, int] = {}  # filled by _semisimple_order
 
@@ -332,10 +328,20 @@ class PSL2(Group):
 
         Decision order: singular trace triple (structural); two involutions
         among (x, y, xy) (dihedral); small order patterns confirmed by a
-        capped closure (A4/S4/A5); then the subfield test on the field
+        capped closure and classified by its size (A4/S4/A5, or the whole
+        group when q is 4 or 5); then the subfield test on the field
         generated by the squared traces and their product, whose degree is
         invariant under the quadratic twist that distinguishes PGL2 of a
         subfield from PSL2; anything left generates the whole group.
+
+        Proof of the size rule.  The triple is non-singular, so <x, y> is
+        not structural (cyclic included).  A non-cyclic dihedral group
+        generated by x and y has two involutions among x, y and xy, so
+        <x, y> is not dihedral either.  By Dickson's list, a subgroup of
+        order at most 60 that is neither is A4, S4 or A5 (orders 12, 24,
+        60), subfield groups included: PSL2(3) = A4, PGL2(3) = S4 and
+        PSL2(4) = PSL2(5) = A5.  The only other case is G itself, of order
+        60 when q is 4 or 5.
         """
         F = self.field
         a = self.trace(x)
@@ -354,9 +360,12 @@ class PSL2(Group):
             return SubgroupClass("dihedral")
         os = set(orders)
         if os <= {1, 2, 3, 4} or os <= {1, 2, 3, 5}:
-            h = closure(self, (x, y), stop_above=60)
-            if len(h) <= 60:
-                return self._classify_closure(h)
+            n = len(closure(self, (x, y), stop_above=60))
+            if n == self.order:
+                return SubgroupClass("full")
+            if n <= 60:
+                assert n in (12, 24, 60), f"closure of order {n} in {self.descriptor()}"
+                return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n])
         pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
         d0 = 1
         for v in pieces:
@@ -381,78 +390,8 @@ class PSL2(Group):
             return SubgroupClass("subfield", d0, kind)
         return SubgroupClass("full")
 
-    def _classify_closure(self, h) -> SubgroupClass:
-        """Classify a fully materialized subgroup by structure."""
-        n = len(h)
-        if n == self.order:
-            return SubgroupClass("full")
-        orders = {self.order_of(m) for m in h}
-        if max(orders) == n:
-            return SubgroupClass("structural")  # cyclic
-        if self._fixes_projective_point(h):
-            return SubgroupClass("structural")  # inside a Borel
-        if n == 4:
-            return SubgroupClass("dihedral")  # Klein four-group
-        if n % 2 == 0 and (n // 2) in orders:
-            involutions = sum(1 for m in h if self.order_of(m) == 2)
-            if involutions >= n // 2:
-                return SubgroupClass("dihedral")
-        if n == 12 and orders == {1, 2, 3}:
-            return SubgroupClass("a4")
-        if n == 24 and orders == {1, 2, 3, 4}:
-            return SubgroupClass("s4")
-        if n == 60 and orders == {1, 2, 3, 5}:
-            return SubgroupClass("a5")
-        deg = self._subfield_order_match(n)
-        if deg is not None:
-            return SubgroupClass("subfield", deg[0], deg[1])
-        raise AssertionError(
-            f"closure of order {n} matches no Dickson class in {self.descriptor()}")
-
     def generates(self, x, y) -> bool:
         return self.classify_pair(x, y).kind == "full"
-
-    def _fixes_projective_point(self, h):
-        """Common fixed point on P1(GF(q)) for all elements (Borel test)."""
-        candidates = None
-        for m in h:
-            if m == (1, 0, 0, 1):
-                continue
-            pts = self._fixed_points(m)
-            candidates = pts if candidates is None else [p for p in candidates if p in pts]
-            if not candidates:
-                return False
-        return candidates is not None and bool(candidates)
-
-    def _fixed_points(self, m):
-        """Fixed points of a non-scalar m on the projective line over
-        GF(q), as normalized pairs (x, 1) or (1, 0)."""
-        F = self.field
-        a, b, c, d = m
-        pts = []
-        # [x : 1] is fixed iff c*x^2 + (d - a)*x - b = 0
-        if c != 0:
-            for x in F.solve_quadratic(c, F.sub(d, a), F.neg(b)):
-                pts.append((x, 1))
-        else:
-            diag = F.sub(d, a)
-            if diag != 0:
-                pts.append((F.div(b, diag), 1))
-            pts.append((1, 0))
-        return pts
-
-    def _subfield_order_match(self, n):
-        for dd in range(1, self.e):
-            if self.e % dd:
-                continue
-            q1 = self.p**dd
-            psl = q1 * (q1 * q1 - 1) // math.gcd(2, q1 - 1)
-            pgl = q1 * (q1 * q1 - 1)
-            if n == psl:
-                return (dd, "psl")
-            if n == pgl and (self.e // dd) % 2 == 0:
-                return (dd, "pgl")
-        return None
 
     # -- element lookup by order -------------------------------------------------
 

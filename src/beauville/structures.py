@@ -224,11 +224,10 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
         if shared:
             witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
 
-    hyp1 = classify_triangle(*type1).kind == "hyperbolic" if min(type1) >= 2 else False
-    hyp2 = classify_triangle(*type2).kind == "hyperbolic" if min(type2) >= 2 else False
     return VerificationReport(
         group=G.descriptor(), quadruple=(x1, y1, x2, y2), z1=z1, z2=z2,
-        type1=type1, type2=type2, hyperbolic1=hyp1, hyperbolic2=hyp2,
+        type1=type1, type2=type2,
+        hyperbolic1=_hyperbolic(type1), hyperbolic2=_hyperbolic(type2),
         cond_i=True, cond_ii=(gen1, gen2), cond_iii=cond_iii,
         coprime_fastpath=fastpath, witnesses=witnesses,
         elapsed=time.perf_counter() - t0)
@@ -465,7 +464,9 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     pairs whose sorted type is one of the two targets.
     """
     seen = set()  # refuse once (classes seen - 1) * |G| pairs exceed the cap
+    elements = []
     for m in G.elements():
+        elements.append(m)
         seen.add(G.fingerprint(m))
         required = (len(seen) - 1) * G.order
         if required > pair_cap:
@@ -473,7 +474,6 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
                 f"pair census needs at least {required} pairs, cap is {pair_cap}",
                 required=required, cap=pair_cap)
     reps = ClassPartition(G).classes[1:]  # the identity class is first
-    elements = list(G.elements())
     weights: dict = {}
     examples: dict = {}
     gen_pairs = 0
@@ -590,7 +590,7 @@ def _macbeath_search(G, targets, t0):
 
 
 def _hyperbolic(tau) -> bool:
-    """1/r + 1/s + 1/t < 1, in integers: rs + st + tr < rst."""
+    """1/r + 1/s + 1/t < 1, in integers: rs + st + tr < rst (false with a 1)."""
     r, s, t = tau
     return r * s + s * t + t * r < r * s * t
 

@@ -101,14 +101,100 @@ def order_of_brute(G, a):
     return k
 
 
+def proper_subgroup_bound(G):
+    """Largest proper subgroup order of PSL2 ``G`` (Dickson: Borel,
+    dihedral, A4, S4, A5, subfield; the Borel dominates subfield groups for
+    q > 4).  A closure that outgrows it certifies full generation."""
+    borel = G.q * (G.q - 1) // G.d
+    return max(borel, 2 * (G.q + 1) // G.d, 60)
+
+
 def classify_pair_brute(G, x, y):
     """PSL2 classification via BFS closure, independent of the trace
     machinery except for element orders.  The closure stops once it
     outgrows the largest proper subgroup, certifying full generation."""
-    h = closure(G, (x, y), stop_above=G.proper_subgroup_bound)
-    if len(h) > G.proper_subgroup_bound:
+    bound = proper_subgroup_bound(G)
+    h = closure(G, (x, y), stop_above=bound)
+    if len(h) > bound:
         return SubgroupClass("full")
-    return G._classify_closure(h)
+    return classify_closure(G, h)
+
+
+def classify_closure(G, h):
+    """Dickson class of a fully materialized subgroup ``h`` of PSL2 ``G``,
+    from its structure: order, element orders, a common fixed point on the
+    projective line, involution count and subfield group orders."""
+    n = len(h)
+    if n == G.order:
+        return SubgroupClass("full")
+    orders = {G.order_of(m) for m in h}
+    if max(orders) == n:
+        return SubgroupClass("structural")  # cyclic
+    if fixes_projective_point(G, h):
+        return SubgroupClass("structural")  # inside a Borel
+    if n == 4:
+        return SubgroupClass("dihedral")  # Klein four-group
+    if n % 2 == 0 and (n // 2) in orders:
+        involutions = sum(1 for m in h if G.order_of(m) == 2)
+        if involutions >= n // 2:
+            return SubgroupClass("dihedral")
+    if n == 12 and orders == {1, 2, 3}:
+        return SubgroupClass("a4")
+    if n == 24 and orders == {1, 2, 3, 4}:
+        return SubgroupClass("s4")
+    if n == 60 and orders == {1, 2, 3, 5}:
+        return SubgroupClass("a5")
+    deg = subfield_order_match(G, n)
+    if deg is not None:
+        return SubgroupClass("subfield", deg[0], deg[1])
+    raise AssertionError(
+        f"closure of order {n} matches no Dickson class in {G.descriptor()}")
+
+
+def fixes_projective_point(G, h):
+    """Common fixed point on P1(GF(q)) for all elements (Borel test)."""
+    candidates = None
+    for m in h:
+        if m == G.identity():
+            continue
+        pts = fixed_points(G, m)
+        candidates = pts if candidates is None else [p for p in candidates if p in pts]
+        if not candidates:
+            return False
+    return candidates is not None and bool(candidates)
+
+
+def fixed_points(G, m):
+    """Fixed points of a non-scalar m on the projective line over GF(q),
+    as normalized pairs (x, 1) or (1, 0)."""
+    F = G.field
+    a, b, c, d = m
+    pts = []
+    # [x : 1] is fixed iff c*x^2 + (d - a)*x - b = 0
+    if c != 0:
+        for x in F.solve_quadratic(c, F.sub(d, a), F.neg(b)):
+            pts.append((x, 1))
+    else:
+        diag = F.sub(d, a)
+        if diag != 0:
+            pts.append((F.div(b, diag), 1))
+        pts.append((1, 0))
+    return pts
+
+
+def subfield_order_match(G, n):
+    """(degree, 'psl' | 'pgl') of the subfield group of order n, if any."""
+    for dd in range(1, G.e):
+        if G.e % dd:
+            continue
+        q1 = G.p**dd
+        psl = q1 * (q1 * q1 - 1) // math.gcd(2, q1 - 1)
+        pgl = q1 * (q1 * q1 - 1)
+        if n == psl:
+            return (dd, "psl")
+        if n == pgl and (G.e // dd) % 2 == 0:
+            return (dd, "pgl")
+    return None
 
 
 def frobenius_table_brute(partition, i):

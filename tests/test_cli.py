@@ -7,7 +7,7 @@ import pytest
 
 from beauville import cli
 from beauville.cli import run
-from beauville.counting import TableInvalid
+from beauville.counting import ClassPartition, TableInvalid
 
 try:
     import jsonschema
@@ -247,6 +247,30 @@ def test_chartable_cache_roundtrip(capsys, tmp_path, monkeypatch):
     assert doc["result"]["count"] == doc_b["result"]["count"]
 
 
+def test_frobenius_character_enumerates_classes_once(capsys, tmp_path, monkeypatch):
+    # on a table-cache miss the table is computed from the partition that
+    # frobenius already built, and --cap-table still refuses by |G|
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+    built = []
+    init = ClassPartition.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClassPartition, "__init__", counted)
+    argv = ["frobenius", "--group", "psl2:17", "--i", "1", "--j", "1", "--k", "1"]
+    code, doc = _run_json(capsys, argv + ["--method", "character"])
+    assert code == 0 and len(built) == 1
+    _, brute = _run_json(capsys, argv)
+    assert doc["result"]["count"] == brute["result"]["count"]
+    code = run(["frobenius", "--group", "psl2:7", "--i", "1", "--j", "1", "--k", "1",
+                "--method", "character", "--cap-table", "100"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: character table needs |G| = 168 <= 100\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["zeta", "--group", "alt:5", "--s", "2"],
     ["chartable", "--group", "alt:5", "--save"],
@@ -402,6 +426,32 @@ PINNED_DIGESTS = [
      "2b5eed01644fc0d9a8be71fa2275724b45f2920fe3853e3796c234f5599f904d"),
     (["search", "--group", "psl2:1009"],
      "559b655530ae4f2f30b268cea1c8218e23aeae1709003f1e06d6515c2a3e3275"),
+    # small closures classified by their size (a4, s4, a5, and the whole
+    # group for q = 4, 5), the witness text of a small subgroup, and the
+    # hyperbolic flag of a type containing 1
+    (["classify", "--group", "psl2:5", "--pair", "[[2,4],[3,4]];[[1,2],[1,3]]"],
+     "9f6258fcb32f282d643cffafddcdf0a39521e01402a97c8c5337b6bd03d7c954"),
+    (["classify", "--group", "psl2:5", "--pair", "[[1,4],[0,1]];[[2,0],[3,3]]"],
+     "2e2b75c86262aa9c813e63586d8b56089420b32215449d8798f062f8d38211ef"),
+    (["classify", "--group", "psl2:2^2", "--pair",
+      "[[1+0*t,0+0*t],[0+1*t,1+0*t]];[[0+0*t,1+1*t],[0+1*t,1+1*t]]"],
+     "979fe948c7a85c9b8982e67d60505f6ef75d47dfdeeb28bad382af62afc30a19"),
+    (["classify", "--group", "psl2:7", "--pair", "[[1,6],[3,5]];[[0,2],[3,0]]"],
+     "cba3a4f0f291faa8d2238a026e5c18459bc2e0fe8370fbd5d18210399c6724f8"),
+    (["classify", "--group", "psl2:11", "--pair", "[[0,1],[10,3]];[[0,5],[2,1]]"],
+     "22314e6cc2dcfe6931c93a9f04113f2e93d38ab41077dcfb9436e84750c80f7e"),
+    (["classify", "--group", "psl2:3^2", "--pair",
+      "[[1+0*t,1+0*t],[1+1*t,2+1*t]];[[0+1*t,0+0*t],[0+1*t,0+2*t]]"],
+     "fbea729a460e6714ea671040494dded270568f4e593bd38e448569db9dd5622b"),
+    (["verify", "--group", "psl2:7", "--no-fastpath", "--quad",
+      "[[1,6],[3,5]];[[0,2],[3,0]];[[2,3],[0,4]];[[1,6],[3,5]]"],
+     "726cf71d8bcddd3deaac42a3fed7af2e9ce94ad25d5ce816ac8b57cf0e7b0be0"),
+    (["verify", "--group", "psl2:11", "--no-fastpath", "--quad",
+      "[[0,1],[10,3]];[[0,5],[2,1]];[[4,4],[1,4]];[[5,8],[10,3]]"],
+     "7fb46a808c645fd27cc116d71000aeaf2078ac4b05f37a31888ab4656281de5c"),
+    (["verify", "--group", "psl2:7", "--no-fastpath", "--quad",
+      "[[1,0],[0,1]];[[0,2],[3,0]];[[2,3],[0,4]];[[1,6],[3,5]]"],
+     "6ebe5a65bf017e568b11e97ae2adac059f7a64d69f26b9d53cd3dfa5dada9a32"),
 ]
 
 

@@ -135,6 +135,8 @@ def test_lazy_table_builds_few_class_matrices():
 def test_table_cap():
     with pytest.raises(CapExceeded):
         character_table(PSL2(101))
+    with pytest.raises(CapExceeded, match="64 classes exceed the class cap 60"):
+        character_table(AbelianSquare(8))
 
 
 @pytest.mark.parametrize("descriptor", ORACLE_GROUPS)

@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-from beauville.groups import closure
 from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
@@ -94,27 +93,42 @@ def test_singular_examples_gf7():
     assert not g.is_singular_triple(3, 3, 3)    # 27-27-4 = 3 mod 7
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)])
+# the classes every class-reduced pair reaches: the small closures give
+# A4, S4 and A5 (PSL2(3), PGL2(3) and PSL2(4) inside PSL2(9)) and, for
+# q = 4 and 5, the whole group
+EXHAUSTIVE_KINDS = {
+    (2, 2): {"structural", "dihedral", "full"},
+    (5, 1): {"structural", "dihedral", "a4", "full"},
+    (7, 1): {"structural", "dihedral", "a4", "s4", "full"},
+    (2, 3): {"structural", "dihedral", "full"},
+    (3, 2): {"structural", "dihedral", "a4", "s4", "a5", "full"},
+    (11, 1): {"structural", "dihedral", "a4", "a5", "full"},
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(EXHAUSTIVE_KINDS))
 def test_singular_iff_structural_exhaustive(p, e):
     # Every pair, reduced by simultaneous conjugation (x ranges over class
     # representatives): the singular-trace predicate must match the BFS
-    # closure being a structural subgroup (cyclic or inside a Borel).
+    # closure being a structural subgroup (cyclic or inside a Borel), and
+    # classify_pair must match the closure's structural class, which
+    # checks the size rule for small closures on every pair of these fields
     g = PSL2(p, e)
     reps = {}
     for m in g.elements():
         reps.setdefault(g.fingerprint(m), m)
     elements = list(g.elements())
+    kinds = set()
     for x in reps.values():
         for y in elements:
             lift = g._mat_mul(x, y)
             singular = g.is_singular_triple(
                 g.trace(x), g.trace(y), g.field.add(lift[0], lift[3]))
-            h = closure(g, (x, y), stop_above=g.proper_subgroup_bound)
-            if len(h) > g.proper_subgroup_bound:
-                structural = False
-            else:
-                structural = g._classify_closure(h).kind == "structural"
-            assert singular == structural, (p, e, x, y)
+            brute = classify_pair_brute(g, x, y)
+            assert singular == (brute.kind == "structural"), (p, e, x, y)
+            assert g.classify_pair(x, y) == brute, (p, e, x, y)
+            kinds.add(str(brute))
+    assert kinds == EXHAUSTIVE_KINDS[(p, e)]
 
 
 # -- the trace-triple solver ----------------------------------------------------
