@@ -88,11 +88,14 @@ def _load_or_compute_table(source, cap: int, save: bool = True) -> CharacterTabl
     return table
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low; anything else is a usage error."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _positive_float(text: str) -> float:
@@ -145,21 +148,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type1", help="target type r,s,t for the first triple")
     p.add_argument("--type2", help="target type r,s,t for the second triple")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=_positive_int, default=200_000)
-    p.add_argument("--cap-pairs", type=int, default=PAIR_CAP)
+    p.add_argument("--attempts", type=_int_at_least(1), default=200_000)
+    p.add_argument("--cap-pairs", type=_int_at_least(0), default=PAIR_CAP)
 
     p = sub.add_parser("triple", parents=[common],
                        help="find a generating triple of exact orders, or "
                             "solve a psl2 trace triple directly")
     p.add_argument("--group", required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--r", type=_int_at_least(2))
+    p.add_argument("--s", type=_int_at_least(2))
+    p.add_argument("--t", type=_int_at_least(2))
     p.add_argument("--traces",
                    help="psl2 only: comma-separated traces a,b,g; returns "
                         "matrices with those traces and product one")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=_positive_int, default=20_000)
+    p.add_argument("--attempts", type=_int_at_least(1), default=20_000)
 
     p = sub.add_parser("classify", parents=[common],
                        help="Dickson class of the subgroup generated by a pair")
@@ -169,22 +172,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", parents=[common],
                        help="Monte Carlo estimate of the Beauville probability")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--no-components", action="store_true")
 
     p = sub.add_parser("stats", parents=[common],
                        help="split/non-split/generation component fractions")
     p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=_positive_int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     p = sub.add_parser("classes", parents=[common],
                        help="list the conjugacy classes")
     p.add_argument("--group", required=True)
-    p.add_argument("--cap-enumeration", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
 
     p = sub.add_parser("frobenius", parents=[common],
                        help="count solutions of x*y*z = 1 in three classes")
@@ -193,21 +196,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=int, required=True, help="index of class Y")
     p.add_argument("--k", type=int, required=True, help="index of class Z")
     p.add_argument("--method", choices=("brute", "character"), default="brute")
-    p.add_argument("--cap-enumeration", type=int, default=ENUMERATION_CAP)
-    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
+    p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
+    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
     p = sub.add_parser("chartable", parents=[common],
                        help="compute (and optionally persist) a character table")
     p.add_argument("--group", required=True)
     p.add_argument("--save", action="store_true",
                    help="persist under $BEAUVILLE_CACHE_DIR")
-    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
+    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
     p = sub.add_parser("zeta", parents=[common],
                        help="Witten zeta: sum of degree**(-s) over Irr(G)")
     p.add_argument("--group", required=True)
     p.add_argument("--s", type=_positive_float, required=True)
-    p.add_argument("--cap-table", type=int, default=TABLE_CAP)
+    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
     p = sub.add_parser("hurwitz", parents=[common],
                        help="is PSL2(p^e) a (2,3,7) triangle-group quotient?")

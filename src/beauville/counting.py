@@ -59,17 +59,20 @@ class ClassPartition:
 
     Classes are ordered by (element order, size, fingerprint label), so the
     identity class is always first and the ordering is reproducible.
+    ``members``, the fingerprint grouping of an enumeration already made,
+    spares a new one.
     """
 
-    def __init__(self, group: Group, cap: int = ENUMERATION_CAP):
+    def __init__(self, group: Group, cap: int = ENUMERATION_CAP, members=None):
         if group.order > cap:
             raise CapExceeded(
                 f"conjugacy enumeration needs |G| = {group.order} <= {cap}",
                 required=group.order, cap=cap)
         self.group = group
-        members: dict[object, list] = {}
-        for m in group.elements(cap):
-            members.setdefault(group.fingerprint(m), []).append(m)
+        if members is None:
+            members = {}
+            for m in group.elements(cap):
+                members.setdefault(group.fingerprint(m), []).append(m)
         keyed = sorted(
             members.items(),
             key=lambda kv: (group.order_of(kv[1][0]), len(kv[1]), repr(kv[0])))

@@ -178,6 +178,7 @@ class GF:
         self.p = p
         self.e = e
         self.q = q
+        self._divisors = [d for d in range(1, e + 1) if e % d == 0]  # subfield degrees
         self.modulus = find_irreducible(p, e)
         self.zero = 0
         self.one = 1
@@ -354,7 +355,7 @@ class GF:
 
     def subfield_degree(self, a: int) -> int:
         """Smallest d dividing e with a in GF(p**d)."""
-        for d in sorted(d for d in range(1, self.e + 1) if self.e % d == 0):
+        for d in self._divisors:
             if self.frobenius(a, d) == a:
                 return d
         raise AssertionError("element fixed by no subfield Frobenius")

@@ -6,6 +6,7 @@ hashable element payload:
 * ``identity()``, ``multiply``, ``inverse``, ``power``, ``order_of``
 * ``generates(x, y)`` -- exact test for <x, y> == G
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
+* ``sigma_key(x)`` -- Sigma memo key (the fingerprint unless proven coarser)
 * ``elements(limit)`` -- full enumeration, each element exactly once
 * ``random_element(rng)`` -- exactly uniform, rng owned by the caller
 * ``parse_element`` / ``format_element`` -- the CLI text encoding
@@ -94,6 +95,11 @@ class Group:
             base = self.multiply(base, base)
             k >>= 1
         return result
+
+    def sigma_key(self, a):
+        """Key of the Sigma memo: an invariant of a that fixes the classes of
+        its prime-order powers.  The conjugacy class always does."""
+        return self.fingerprint(a)
 
     def conjugate(self, g, a):
         """g * a * g**-1."""

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import Group, parse_group
-from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census,
-                         sigma_prime_fingerprints, triple_type)
+from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census, product_orders,
+                         sigma_prime_fingerprints)
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -96,40 +96,42 @@ class EstimateResult:
 
 
 def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
-    x1, y1 = G.random_element(rng), G.random_element(rng)
-    x2, y2 = G.random_element(rng), G.random_element(rng)
-    gen1, gen2 = G.generates(x1, y1), G.generates(x2, y2)
-    tallies = Counter(_pair_tallies(G, x1, y1, gen1))
-    tallies.update(_pair_tallies(G, x2, y2, gen2))
-    if not (gen1 and gen2):
+    pairs = [(G.random_element(rng), G.random_element(rng)) for _ in range(2)]
+    gens = [G.generates(x, y) for x, y in pairs]
+    # PSL2 tallies read every pair's orders; other groups need them only if both generate
+    products = [product_orders(G, *pair) for pair in pairs] if G.kind == "psl2" else None
+    tallies = Counter()
+    for i, gen in enumerate(gens):
+        tallies.update(_pair_tallies(G, products and products[i][1], gen))
+    if not all(gens):
         return False, tallies
-    _, t1 = triple_type(G, x1, y1)
-    _, t2 = triple_type(G, x2, y2)
-    if math.gcd(math.prod(t1), math.prod(t2)) == 1:
+    (xy1, o1), (xy2, o2) = products or [product_orders(G, *pair) for pair in pairs]
+    if math.gcd(math.prod(o1), math.prod(o2)) == 1:
         return True, tallies
-    ok = not (sigma_prime_fingerprints(G, x1, y1)
-              & sigma_prime_fingerprints(G, x2, y2))
+    ok = not (sigma_prime_fingerprints(G, *pairs[0], xy1)
+              & sigma_prime_fingerprints(G, *pairs[1], xy2))
     return ok, tallies
 
 
-def _pair_tallies(G, x, y, gen: bool) -> dict:
+def _pair_tallies(G, orders, gen: bool) -> dict:
+    """Tallies of one pair; PSL2 reads them off orders = (|x|, |y|, |xy|)."""
     if G.kind != "psl2":
         return {"elements": 2, "pairs": 1, "generating": int(gen)}
     # every key, zero counts included, so the same components are emitted
-    types = [G.split_type(m) for m in (x, y)]
-    triple = {*types, G.split_type(G.multiply(x, y))}
+    types = [G.order_type(o) for o in orders]
     k = 2 if G.q % 2 else 3  # even order for odd q, order divisible by 3 for even q
     return {"elements": 2, "pairs": 1, "generating": int(gen),
-            **{st: types.count(st) for st in ("split", "nonsplit", "unipotent")},
-            "triple_split": int(triple == {"split"}),
-            "triple_nonsplit": int(triple == {"nonsplit"}),
+            **{st: types[:2].count(st) for st in ("split", "nonsplit", "unipotent")},
+            "triple_split": int(set(types) == {"split"}),
+            "triple_nonsplit": int(set(types) == {"nonsplit"}),
             ("even_order" if k == 2 else "order_div3"):
-                sum(G.order_of(m) % k == 0 for m in (x, y))}
+                sum(o % k == 0 for o in orders[:2])}
 
 
 def _pair_sample(G: Group, rng) -> tuple[bool, dict]:
     x, y = G.random_element(rng), G.random_element(rng)
-    return False, _pair_tallies(G, x, y, G.generates(x, y))
+    orders = product_orders(G, x, y)[1] if G.kind == "psl2" else None
+    return False, _pair_tallies(G, orders, G.generates(x, y))
 
 
 def _sample_range(sample, descriptor: str, seed: int, start: int, stop: int,

@@ -176,16 +176,31 @@ class PSL2(Group):
             return self.p
         return self._semisimple_order(a)
 
-    def split_type(self, m) -> str:
-        """'identity', 'unipotent', 'split' or 'nonsplit'.  A semisimple
-        order is > 1 and divides (q-1)/d when split, (q+1)/d when not; the
-        two are coprime, so the memoized order decides."""
-        if m == (1, 0, 0, 1):
+    def order_type(self, order: int) -> str:
+        """'identity', 'unipotent' (order p), 'split' or 'nonsplit' from an
+        element order: a semisimple order divides (q-1)/d when split and
+        (q+1)/d when not, and these two are coprime to each other and to p."""
+        if order == 1:
             return "identity"
-        a = self.trace(m)
-        if self._is_pm2(a):
+        if order == self.p:
             return "unipotent"
-        return "split" if self.split_order % self._semisimple_order(a) == 0 else "nonsplit"
+        return "split" if self.split_order % order == 0 else "nonsplit"
+
+    def sigma_key(self, m):
+        """The order of m, or for a unipotent m with p odd and e even its
+        fingerprint: either fixes the classes of the prime-order powers of m.
+
+        Proof.  For a prime r != p dividing |m|, the order-r powers of m fill
+        the order-r subgroup of a cyclic torus, into which every element of
+        order r is conjugate.  A unipotent m is conjugate to [[1, u], [0, 1]],
+        whose class is the square class of u (one class for p = 2), and its
+        powers are [[1, ku], [0, 1]], k in F_p*: all squares in F_q when e is
+        even, non-squares among them when e is odd (k**((q-1)/2) = (-1)**e).
+        """
+        order = self.order_of(m)
+        if order == self.p and self.d == 2 and self.e % 2 == 0:
+            return self.fingerprint(m)
+        return order
 
     # -- conjugacy fingerprints ---------------------------------------------------
 
@@ -366,10 +381,10 @@ class PSL2(Group):
             if n <= 60:
                 assert n in (12, 24, 60), f"closure of order {n} in {self.descriptor()}"
                 return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n])
+        if self.e == 1:  # a prime field has no proper subfield
+            return SubgroupClass("full")
         pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
-        d0 = 1
-        for v in pieces:
-            d0 = math.lcm(d0, F.subfield_degree(v))
+        d0 = math.lcm(*map(F.subfield_degree, pieces))
         if d0 < self.e:
             # PGL2(p^d0) pairs have exactly two elements of (x, y, xy) in the
             # outer coset, whose traces are sqrt(nonsquare)*F_{p^d0}.  Trace 0

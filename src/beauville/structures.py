@@ -98,27 +98,29 @@ def is_hurwitz_psl2(p: int, e: int) -> bool:
 # triple types and Sigma sets
 # ---------------------------------------------------------------------------
 
-def triple_type(G: Group, x, y) -> tuple:
-    """z = (x*y)**-1 and the sorted type (|x|, |y|, |z|) of the triple."""
-    z = G.inverse(G.multiply(x, y))
-    return z, tuple(sorted((G.order_of(x), G.order_of(y), G.order_of(z))))
+def product_orders(G: Group, x, y) -> tuple:
+    """x*y and the orders (|x|, |y|, |x*y|).  |x*y| = |z| for z = (x*y)**-1,
+    so the sorted orders are the type of the triple."""
+    xy = G.multiply(x, y)
+    return xy, (G.order_of(x), G.order_of(y), G.order_of(xy))
 
 
-def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
+def sigma_prime_fingerprints(G: Group, x, y, xy=None) -> frozenset:
     """Conjugacy fingerprints of the prime-order elements among all powers
     of x, y and z = (x*y)**-1.  Two triples have trivially intersecting
-    Sigma sets exactly when these sets are disjoint."""
-    z = G.inverse(G.multiply(x, y))
+    Sigma sets exactly when these sets are disjoint.  z and x*y have the
+    same powers, so x*y stands for z; a caller that has it passes it."""
+    xy = G.multiply(x, y) if xy is None else xy
     return (_prime_power_classes(G, x) | _prime_power_classes(G, y)
-            | _prime_power_classes(G, z))
+            | _prime_power_classes(G, xy))
 
 
 def _prime_power_classes(G: Group, g) -> frozenset:
-    """Fingerprints of the prime-order powers of g.  Conjugate elements have
-    conjugate powers, so the set is memoized on the handle under the
-    fingerprint of g and the walk runs once per class."""
+    """Fingerprints of the prime-order powers of g, memoized on the handle
+    under ``G.sigma_key(g)``, an invariant that fixes the set (conjugate
+    elements have conjugate powers), so the walk runs once per key."""
     memo = vars(G).setdefault("_sigma_memo", {})
-    key = G.fingerprint(g)
+    key = G.sigma_key(g)
     sigma = memo.get(key)
     if sigma is None:
         out = set()
@@ -201,34 +203,27 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
     t0 = time.perf_counter()
     for m in (x1, y1, x2, y2):
         G.check_element(m)
-    z1, type1 = triple_type(G, x1, y1)
-    z2, type2 = triple_type(G, x2, y2)
+    (xy1, o1), (xy2, o2) = product_orders(G, x1, y1), product_orders(G, x2, y2)
+    type1, type2 = tuple(sorted(o1)), tuple(sorted(o2))
     witnesses: dict = {}
 
-    gen1 = G.generates(x1, y1)
-    gen2 = G.generates(x2, y2)
+    gen1, gen2 = G.generates(x1, y1), G.generates(x2, y2)
     if not gen1:
         witnesses["pair1_subgroup"] = _generation_witness(G, x1, y1)
     if not gen2:
         witnesses["pair2_subgroup"] = _generation_witness(G, x2, y2)
 
-    fastpath = False
-    if use_fastpath and math.gcd(math.prod(type1), math.prod(type2)) == 1:
-        cond_iii = True
-        fastpath = True
-    else:
-        s1 = sigma_prime_fingerprints(G, x1, y1)
-        s2 = sigma_prime_fingerprints(G, x2, y2)
-        shared = s1 & s2
-        cond_iii = not shared
-        if shared:
-            witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
+    fastpath = use_fastpath and math.gcd(math.prod(type1), math.prod(type2)) == 1
+    shared = frozenset() if fastpath else (sigma_prime_fingerprints(G, x1, y1, xy1)
+                                           & sigma_prime_fingerprints(G, x2, y2, xy2))
+    if shared:
+        witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
 
     return VerificationReport(
-        group=G.descriptor(), quadruple=(x1, y1, x2, y2), z1=z1, z2=z2,
-        type1=type1, type2=type2,
+        group=G.descriptor(), quadruple=(x1, y1, x2, y2),
+        z1=G.inverse(xy1), z2=G.inverse(xy2), type1=type1, type2=type2,
         hyperbolic1=_hyperbolic(type1), hyperbolic2=_hyperbolic(type2),
-        cond_i=True, cond_ii=(gen1, gen2), cond_iii=cond_iii,
+        cond_i=True, cond_ii=(gen1, gen2), cond_iii=not shared,
         coprime_fastpath=fastpath, witnesses=witnesses,
         elapsed=time.perf_counter() - t0)
 
@@ -463,17 +458,17 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     weighs the class size.  With ``targets``, Sigma is computed only for
     pairs whose sorted type is one of the two targets.
     """
-    seen = set()  # refuse once (classes seen - 1) * |G| pairs exceed the cap
+    members: dict = {}  # refuse once (classes seen - 1) * |G| pairs exceed the cap
     elements = []
     for m in G.elements():
         elements.append(m)
-        seen.add(G.fingerprint(m))
-        required = (len(seen) - 1) * G.order
+        members.setdefault(G.fingerprint(m), []).append(m)
+        required = (len(members) - 1) * G.order
         if required > pair_cap:
             raise CapExceeded(
                 f"pair census needs at least {required} pairs, cap is {pair_cap}",
                 required=required, cap=pair_cap)
-    reps = ClassPartition(G).classes[1:]  # the identity class is first
+    reps = ClassPartition(G, members=members).classes[1:]  # identity class first
     weights: dict = {}
     examples: dict = {}
     gen_pairs = 0
@@ -483,10 +478,11 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
             if not G.generates(x, y):
                 continue
             gen_pairs += 1
-            _, tau = triple_type(G, x, y)
+            xy, orders = product_orders(G, x, y)
+            tau = tuple(sorted(orders))
             if targets and tau not in targets:
                 continue
-            sig = sigma_prime_fingerprints(G, x, y)
+            sig = sigma_prime_fingerprints(G, x, y, xy)
             weights[sig] = weights.get(sig, 0) + cls.size
             examples.setdefault(sig, {}).setdefault(tau, (x, y))
     return PairCensus(weights, examples, required, gen_pairs, len(reps))
@@ -534,7 +530,8 @@ def _random_search(G, targets, seed, max_attempts, t0):
     def draw(target):
         """A random generating pair of the target type, or None."""
         x, y = G.random_element(rng), G.random_element(rng)
-        if G.generates(x, y) and (not target or triple_type(G, x, y)[1] == target):
+        if G.generates(x, y) and (
+                not target or tuple(sorted(product_orders(G, x, y)[1])) == target):
             return x, y
         return None
 

@@ -66,20 +66,36 @@ COUNT_COMMANDS = {
     "stats": ["stats", "--group", "ab:5", "--samples", "10"],
     "search": ["search", "--group", "psl2:7", "--strategy", "random"],
     "triple": ["triple", "--group", "psl2:7", "--r", "2", "--s", "3", "--t", "7"],
+    "classes": ["classes", "--group", "psl2:7"],
+    "frobenius": ["frobenius", "--group", "psl2:7", "--i", "1", "--j", "1", "--k", "1"],
+    "chartable": ["chartable", "--group", "psl2:7"],
+    "zeta": ["zeta", "--group", "psl2:7", "--s", "2"],
 }
-COUNT_FLAGS = [(flag, command) for command in ("estimate", "stats")
+# (flag, command, least valid value): counts, triple orders and caps
+COUNT_FLAGS = [(flag, command, 1) for command in ("estimate", "stats")
                for flag in ("--samples", "--workers")]
-COUNT_FLAGS += [("--attempts", "search"), ("--attempts", "triple")]
+COUNT_FLAGS += [("--attempts", "search", 1), ("--attempts", "triple", 1)]
+COUNT_FLAGS += [(flag, "triple", 2) for flag in ("--r", "--s", "--t")]
+COUNT_FLAGS += [("--cap-pairs", "search", 0), ("--cap-enumeration", "classes", 0),
+                ("--cap-enumeration", "frobenius", 0), ("--cap-table", "frobenius", 0),
+                ("--cap-table", "chartable", 0), ("--cap-table", "zeta", 0)]
 
 
-@pytest.mark.parametrize("flag,command", COUNT_FLAGS,
-                         ids=[f"{flag}-{command}" for flag, command in COUNT_FLAGS])
-def test_nonpositive_count_exit_2(capsys, command, flag):
-    for value in ("0", "-5"):
+@pytest.mark.parametrize("flag,command,low", COUNT_FLAGS,
+                         ids=[f"{flag}-{command}" for flag, command, _ in COUNT_FLAGS])
+def test_nonpositive_count_exit_2(capsys, command, flag, low):
+    for value in (low - 1, low - 6):
         with pytest.raises(SystemExit) as exc:
-            run(COUNT_COMMANDS[command] + [flag, value])
+            run(COUNT_COMMANDS[command] + [flag, str(value)])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be >= {low}" in capsys.readouterr().err
+
+
+def test_zero_cap_is_valid_and_refuses(capsys):
+    assert run(["classes", "--group", "ab:2", "--cap-enumeration", "0"]) == 3
+    assert run(["search", "--group", "ab:2", "--strategy", "exhaustive",
+                "--cap-pairs", "0"]) == 3
+    assert "cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,6 +468,25 @@ PINNED_DIGESTS = [
     (["verify", "--group", "psl2:7", "--no-fastpath", "--quad",
       "[[1,0],[0,1]];[[0,2],[3,0]];[[2,3],[0,4]];[[1,6],[3,5]]"],
      "6ebe5a65bf017e568b11e97ae2adac059f7a64d69f26b9d53cd3dfa5dada9a32"),
+    # the Sigma memo keyed by element order for PSL2 (by class for the
+    # unipotents when p is odd and e even: 5^2, 3^4), and the tallies read
+    # off each pair's orders
+    (["estimate", "--group", "psl2:5^2", "--samples", "3000"],
+     "b949df22b73f937c4203cbbce06ca9784832f8b1b08e8e7628a4f5ec4adabd3c"),
+    (["stats", "--group", "psl2:5^2", "--samples", "3000"],
+     "af7c9b8fc3f26a2eb4a43c6fc2eeac87a629ce7e11f266401eca8030b225555d"),
+    (["estimate", "--group", "psl2:3^4", "--samples", "1500"],
+     "6aac42836c6ed0912a2dab08a177a0ecdcb6e365daa96a32d15c0abc32b44025"),
+    (["estimate", "--group", "psl2:3^4", "--samples", "1500", "--workers", "2"],
+     "c0e5dd7110c551eafb3f6faf12bfd6694915fe6b688c1814ada05368238eac32"),
+    (["stats", "--group", "psl2:3^4", "--samples", "300"],
+     "951513002426d1448a03093f60d1dc33b2efb3ff51eb982dfc5df6c0e2fce2b9"),
+    (["stats", "--group", "psl2:2^7", "--samples", "300"],
+     "9fcfc3d5a389824fa97402517eb4b43aea946fcd1ab0d14b6165bd9e784c9f44"),
+    (["estimate", "--group", "alt:6", "--samples", "300"],
+     "9c6af999fd1cf0cd19e934695cac5f58f603619443cf2302de71dcee557a3967"),
+    (["stats", "--group", "alt:6", "--samples", "300"],
+     "618a660ed231221e20d6d10b2d9695d69f67fc78abda8a7cc0add75d9623dd3c"),
 ]
 
 

@@ -19,14 +19,19 @@ CLASSIFIER_SPECS = [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (17, 1),
 
 # -- orders and split types ---------------------------------------------------
 
+def split_type(g, m):
+    """The split / non-split / unipotent / identity label of an element."""
+    return g.order_type(g.order_of(m))
+
+
 def test_unipotent_order_is_p():
     g = PSL2(7)
     u = g.parse_element("[[1,1],[0,1]]")
     assert g.order_of(u) == 7
-    assert g.split_type(u) == "unipotent"
+    assert split_type(g, u) == "unipotent"
     g11 = PSL2(11)
     assert g11.order_of(g11.element_of_order(11)) == 11
-    assert g11.split_type(g11.element_of_order(11)) == "unipotent"
+    assert split_type(g11, g11.element_of_order(11)) == "unipotent"
 
 
 @pytest.mark.parametrize("p,e", [(2, 4), (3, 3)])
@@ -44,16 +49,16 @@ def test_order_memo_filled_by_traces_by_order_matches_brute(p, e):
 
 def test_split_type_examples_psl2_7():
     g = PSL2(7)
-    assert g.split_type(g.element_of_order(3)) == "split"      # 3 = (q-1)/2
-    assert g.split_type(g.element_of_order(4)) == "nonsplit"   # 4 = (q+1)/2
-    assert g.split_type(g.identity()) == "identity"
+    assert split_type(g, g.element_of_order(3)) == "split"      # 3 = (q-1)/2
+    assert split_type(g, g.element_of_order(4)) == "nonsplit"   # 4 = (q+1)/2
+    assert split_type(g, g.identity()) == "identity"
 
 
 @pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
 def test_split_type_consistent_with_order_divisibility(p, e):
     g = PSL2(p, e)
     for m in g.elements():
-        st = g.split_type(m)
+        st = split_type(g, m)
         k = g.order_of(m)
         assert k == order_of_brute(g, m)
         if st in ("split", "nonsplit"):
@@ -323,7 +328,7 @@ def test_unipotent_fraction_at_most_2_over_q():
         rng = random.Random(p)
         n = 20_000
         hits = sum(1 for _ in range(n)
-                   if g.split_type(g.random_element(rng)) == "unipotent")
+                   if split_type(g, g.random_element(rng)) == "unipotent")
         slack = 4 * math.sqrt((2 / p) / n)
         assert hits / n <= 2 / p + slack
 
@@ -332,7 +337,7 @@ def test_split_and_nonsplit_roughly_balanced_q101():
     g = PSL2(101)
     rng = random.Random(7)
     n = 20_000
-    counts = Counter(g.split_type(g.random_element(rng)) for _ in range(n))
+    counts = Counter(split_type(g, g.random_element(rng)) for _ in range(n))
     assert 0.45 <= counts["split"] / n <= 0.55
     assert 0.45 <= counts["nonsplit"] / n <= 0.55
 

@@ -178,6 +178,18 @@ def test_sigma_memo_matches_uncached_walk(descriptor):
         assert sigma_prime_fingerprints(g, xc, yc) == sigma_prime_walk(g, xc, yc)
 
 
+@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:2^3", "psl2:3^2", "psl2:2^4",
+                                        "psl2:5^2", "psl2:3^3", "psl2:7^2"])
+def test_sigma_key_fixes_prime_power_classes_of_every_element(descriptor):
+    # Fact B on one warm handle: the memo answers each element from the first
+    # element of its sigma_key (its order, or its class for a unipotent with
+    # p odd and e even), so every element is checked against its own walk
+    g = parse_group(descriptor)
+    e = g.identity()
+    for x in g.iter_elements():
+        assert sigma_prime_fingerprints(g, x, e) == sigma_prime_walk(g, x, e)
+
+
 # -- verification -------------------------------------------------------------------
 
 def test_verify_beauville_original_construction():
@@ -292,6 +304,22 @@ def test_pair_census_refuses_before_enumerating_the_group():
     with pytest.raises(CapExceeded, match="at least"):
         pair_census(g)
     assert calls < 1000
+
+
+def test_pair_census_enumerates_the_group_once():
+    g = PSL2(7)
+    calls = 0
+    iter_elements = g.iter_elements
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return iter_elements()
+
+    g.iter_elements = counted
+    census = pair_census(g)
+    assert calls == 1
+    assert census.representatives == 5  # the non-identity classes of PSL2(7)
 
 
 @pytest.mark.parametrize("descriptor",
