@@ -7,6 +7,7 @@ hashable element payload:
 * ``generates(x, y)`` -- exact test for <x, y> == G
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
 * ``sigma_key(x)`` -- Sigma memo key (the fingerprint unless proven coarser)
+* ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
 * ``random_element(rng)`` -- exactly uniform, rng owned by the caller
 * ``parse_element`` / ``format_element`` -- the CLI text encoding
@@ -19,6 +20,7 @@ Group handle text encodings: ``psl2:p^e``, ``alt:n``, ``sym:n``, ``ab:n``.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 
 class GroupError(ValueError):
@@ -105,6 +107,19 @@ class Group:
         """g * a * g**-1."""
         return self.multiply(self.multiply(g, a), self.inverse(g))
 
+    def centralizer_orbits(self, x, elements):
+        """(y, orbit size) for one y per orbit of C_G(x) acting on the
+        enumeration ``elements`` of G by conjugation: each y is its orbit's
+        first member in ``elements`` order, and the orbits come in that order."""
+        mul = self.multiply
+        cent = [(c, self.inverse(c)) for c in elements if mul(c, x) == mul(x, c)]
+        seen = set()
+        for y in elements:
+            if y not in seen:
+                orbit = {mul(mul(c, y), c_inv) for c, c_inv in cent}
+                seen |= orbit
+                yield y, len(orbit)
+
     def elements(self, limit: int = 1_000_000):
         """Enumerate the whole group, refusing when |G| exceeds the cap."""
         if self.order > limit:
@@ -167,6 +182,10 @@ class AbelianSquare(Group):
     def fingerprint(self, a):
         # conjugacy classes are singletons
         return ("e", a[0], a[1])
+
+    def centralizer_orbits(self, x, elements):
+        # conjugation is trivial, so every orbit is a single element
+        return zip(elements, repeat(1))
 
     def iter_elements(self):
         n = self.n

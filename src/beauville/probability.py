@@ -95,66 +95,66 @@ class EstimateResult:
         }
 
 
-def _is_beauville_sample(G: Group, rng) -> tuple[bool, dict]:
+def _is_beauville_sample(G: Group, rng, tallies: Counter) -> bool:
     pairs = [(G.random_element(rng), G.random_element(rng)) for _ in range(2)]
     gens = [G.generates(x, y) for x, y in pairs]
     # PSL2 tallies read every pair's orders; other groups need them only if both generate
     products = [product_orders(G, *pair) for pair in pairs] if G.kind == "psl2" else None
-    tallies = Counter()
     for i, gen in enumerate(gens):
-        tallies.update(_pair_tallies(G, products and products[i][1], gen))
+        _pair_tallies(G, products and products[i][1], gen, tallies)
     if not all(gens):
-        return False, tallies
+        return False
     (xy1, o1), (xy2, o2) = products or [product_orders(G, *pair) for pair in pairs]
     if math.gcd(math.prod(o1), math.prod(o2)) == 1:
-        return True, tallies
-    ok = not (sigma_prime_fingerprints(G, *pairs[0], xy1)
-              & sigma_prime_fingerprints(G, *pairs[1], xy2))
-    return ok, tallies
+        return True
+    return not (sigma_prime_fingerprints(G, *pairs[0], xy1)
+                & sigma_prime_fingerprints(G, *pairs[1], xy2))
 
 
-def _pair_tallies(G, orders, gen: bool) -> dict:
-    """Tallies of one pair; PSL2 reads them off orders = (|x|, |y|, |xy|)."""
+def _pair_tallies(G, orders, gen: bool, tallies: Counter) -> None:
+    """Add one pair's tallies; PSL2 reads them off orders = (|x|, |y|, |xy|).
+    Every key is added, zero counts included, so the same components are
+    emitted."""
+    tallies["elements"] += 2
+    tallies["pairs"] += 1
+    tallies["generating"] += gen
     if G.kind != "psl2":
-        return {"elements": 2, "pairs": 1, "generating": int(gen)}
-    # every key, zero counts included, so the same components are emitted
+        return
     types = [G.order_type(o) for o in orders]
-    k = 2 if G.q % 2 else 3  # even order for odd q, order divisible by 3 for even q
-    return {"elements": 2, "pairs": 1, "generating": int(gen),
-            **{st: types[:2].count(st) for st in ("split", "nonsplit", "unipotent")},
-            "triple_split": int(set(types) == {"split"}),
-            "triple_nonsplit": int(set(types) == {"nonsplit"}),
-            ("even_order" if k == 2 else "order_div3"):
-                sum(o % k == 0 for o in orders[:2])}
+    for st in ("split", "nonsplit", "unipotent"):
+        tallies[st] += types[:2].count(st)
+    tallies["triple_split"] += set(types) == {"split"}
+    tallies["triple_nonsplit"] += set(types) == {"nonsplit"}
+    # even order for odd q, order divisible by 3 for even q
+    k, key = (2, "even_order") if G.q % 2 else (3, "order_div3")
+    tallies[key] += sum(o % k == 0 for o in orders[:2])
 
 
-def _pair_sample(G: Group, rng) -> tuple[bool, dict]:
+def _pair_sample(G: Group, rng, tallies: Counter) -> bool:
     x, y = G.random_element(rng), G.random_element(rng)
     orders = product_orders(G, x, y)[1] if G.kind == "psl2" else None
-    return False, _pair_tallies(G, orders, G.generates(x, y))
+    _pair_tallies(G, orders, G.generates(x, y), tallies)
+    return False
 
 
-def _sample_range(sample, descriptor: str, seed: int, start: int, stop: int,
-                  component_stats: bool) -> tuple[int, Counter]:
+def _sample_range(sample, descriptor: str, seed: int, start: int,
+                  stop: int) -> tuple[int, Counter]:
     G = parse_group(descriptor)
-    successes = 0
     tallies: Counter = Counter()
-    for idx in range(start, stop):
-        ok, t = sample(G, _sample_rng(seed, idx))
-        successes += ok
-        if component_stats:
-            tallies.update(t)
+    successes = sum(sample(G, _sample_rng(seed, idx), tallies)
+                    for idx in range(start, stop))
     return successes, tallies
 
 
 def _run_samples(sample, cfg: EstimationConfig) -> tuple[int, Counter]:
-    """Draw sample indices 0..samples-1 with ``sample(G, rng)`` and sum its
-    (success, tallies) results; with several workers the index range is
-    cut into chunks run in a process pool."""
+    """Draw sample indices 0..samples-1 with ``sample(G, rng, tallies)``,
+    which adds its tallies and returns its success, and sum both; with
+    several workers the index range is cut into chunks run in a process
+    pool."""
     pieces = min(cfg.workers * 8 if cfg.workers > 1 else 1, cfg.samples)
     step = -(-cfg.samples // pieces)
-    args = [(sample, cfg.group, cfg.seed, lo, min(lo + step, cfg.samples),
-             cfg.component_stats) for lo in range(0, cfg.samples, step)]
+    args = [(sample, cfg.group, cfg.seed, lo, min(lo + step, cfg.samples))
+            for lo in range(0, cfg.samples, step)]
     if cfg.workers == 1 or len(args) == 1:
         parts = [_sample_range(*a) for a in args]
     else:

@@ -438,25 +438,33 @@ class PairCensus:
 
     ``weights`` maps each Sigma fingerprint set to the number of generating
     pairs (x, y) of G (of a target type, when targets are given) that reach
-    it; ``examples`` maps it to the first pair reached per sorted type.  The counts are those of the reduced
-    enumeration: ``pairs_checked`` pairs, of which ``generating_pairs``
-    generate, with x over ``representatives`` non-identity classes.
+    it; ``examples`` maps it to the first pair reached per sorted type.
+    With x over ``representatives`` non-identity class representatives and
+    y over G, ``pairs_checked`` counts the pairs (x, y), of which
+    ``generating_pairs`` generate.  ``pairs_tested`` counts the generation
+    tests made, one per C_G(x)-orbit of y.
     """
     weights: dict
     examples: dict
     pairs_checked: int
     generating_pairs: int
     representatives: int
+    pairs_tested: int
 
 
 def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     """Enumerate generating pairs with x over non-identity class
-    representatives and y over all of G.
+    representatives and y over one representative per C_G(x)-orbit.
 
     Simultaneous conjugation of (x, y) preserves generation, type and Sigma
-    fingerprints, so each representative stands for its whole class and
-    weighs the class size.  With ``targets``, Sigma is computed only for
-    pairs whose sorted type is one of the two targets.
+    fingerprints, so each representative x stands for its whole class and
+    weighs the class size.  Conjugation by c in C_G(x) fixes x, so y stands
+    for its orbit {c y c**-1} and weighs the orbit size.  The results are
+    those of a scan of every y in G order: if y is the first y reaching some
+    (Sigma, type), the first member of its orbit reaches it too, so that
+    member is y; ``weights``, ``examples`` and their insertion orders agree.
+    With ``targets``, Sigma is computed only for pairs whose sorted type is
+    one of the two targets.
     """
     members: dict = {}  # refuse once (classes seen - 1) * |G| pairs exceed the cap
     elements = []
@@ -471,21 +479,22 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     reps = ClassPartition(G, members=members).classes[1:]  # identity class first
     weights: dict = {}
     examples: dict = {}
-    gen_pairs = 0
+    gen_pairs = tested = 0
     for cls in reps:
         x = cls.representative
-        for y in elements:
+        for y, size in G.centralizer_orbits(x, elements):
+            tested += 1
             if not G.generates(x, y):
                 continue
-            gen_pairs += 1
+            gen_pairs += size
             xy, orders = product_orders(G, x, y)
             tau = tuple(sorted(orders))
             if targets and tau not in targets:
                 continue
             sig = sigma_prime_fingerprints(G, x, y, xy)
-            weights[sig] = weights.get(sig, 0) + cls.size
+            weights[sig] = weights.get(sig, 0) + cls.size * size
             examples.setdefault(sig, {}).setdefault(tau, (x, y))
-    return PairCensus(weights, examples, required, gen_pairs, len(reps))
+    return PairCensus(weights, examples, required, gen_pairs, len(reps), tested)
 
 
 def _exhaustive_search(G, targets, pair_cap, t0):

@@ -9,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from beauville.fields import _is_irreducible, _poly_mulmod
+from beauville.counting import ClassPartition
 from beauville.groups import closure
 from beauville.numutil import prime_factors
 from beauville.psl2 import SubgroupClass
-from beauville.structures import sigma_prime_fingerprints
+from beauville.structures import PairCensus, product_orders, sigma_prime_fingerprints
 
 
 def add_digitwise(F, a, b):
@@ -361,6 +362,31 @@ def exact_probability_all_pairs(G):
     total = sum(w1 * w2 for s1, w1 in weights.items()
                 for s2, w2 in weights.items() if not s1 & s2)
     return Fraction(total, G.order ** 4)
+
+
+def pair_census_all_y(G, targets=None):
+    """The class-reduced pair census testing every y in G against each
+    non-identity class representative x, without the centralizer-orbit
+    reduction of ``pair_census``."""
+    elements = list(G.elements())
+    reps = ClassPartition(G).classes[1:]
+    weights, examples = {}, {}
+    gen_pairs = 0
+    for cls in reps:
+        x = cls.representative
+        for y in elements:
+            if not G.generates(x, y):
+                continue
+            gen_pairs += 1
+            xy, orders = product_orders(G, x, y)
+            tau = tuple(sorted(orders))
+            if targets and tau not in targets:
+                continue
+            sig = sigma_prime_fingerprints(G, x, y, xy)
+            weights[sig] = weights.get(sig, 0) + cls.size
+            examples.setdefault(sig, {}).setdefault(tau, (x, y))
+    tested = len(reps) * G.order
+    return PairCensus(weights, examples, tested, gen_pairs, len(reps), tested)
 
 
 def subfield_elements(G, d):

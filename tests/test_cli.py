@@ -487,6 +487,19 @@ PINNED_DIGESTS = [
      "9c6af999fd1cf0cd19e934695cac5f58f603619443cf2302de71dcee557a3967"),
     (["stats", "--group", "alt:6", "--samples", "300"],
      "618a660ed231221e20d6d10b2d9695d69f67fc78abda8a7cc0add75d9623dd3c"),
+    # the pair census visiting one y per centralizer orbit: found quadruples
+    # with their stats, and nonexistence certificates with their counts
+    (["search", "--group", "alt:6", "--strategy", "exhaustive"],
+     "f98cb2b6df8b27f22b4db493b04dd98b15aec25f046c1fc177865c8b24b8b9d1"),
+    (["search", "--group", "psl2:11", "--strategy", "exhaustive"],
+     "71869f7d766d22a8af5c0a53c69838331fc34a6335f0ac9501f1686b1ca38661"),
+    (["search", "--group", "sym:5", "--strategy", "exhaustive"],
+     "8104c4c9b42508adea8b9cfba2be74d4d21bfe604df0ea23fc088263fb54b00e"),
+    (["search", "--group", "sym:5", "--strategy", "exhaustive",
+      "--type1", "4,5,6", "--type2", "5,6,6"],
+     "c39a792b3ca5cfea0ae9b4699cb0c8880b4267f839c1969ec565b60e0c943a15"),
+    (["search", "--group", "sym:4", "--strategy", "exhaustive"],
+     "79036140f73b134e3202b18ea236ecd5a6e45047c263c2473f0bfd8a31444283"),
 ]
 
 

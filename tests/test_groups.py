@@ -95,6 +95,23 @@ def test_generates_symmetric_and_conjugation_invariant(descriptor):
         assert forward == g.generates(g.conjugate(c, x), g.conjugate(c, y))
 
 
+@pytest.mark.parametrize("descriptor", ["ab:6", "sym:4", "alt:5", "psl2:7"])
+def test_centralizer_orbits_partition_the_group_in_order(descriptor):
+    g = parse_group(descriptor)
+    els = list(g.elements())
+    position = {m: i for i, m in enumerate(els)}
+    for x in els[::7]:
+        cent = [c for c in els if g.conjugate(c, x) == x]
+        orbits = [(y, size, {g.conjugate(c, y) for c in cent})
+                  for y, size in g.centralizer_orbits(x, els)]
+        assert [position[y] for y, _, _ in orbits] == sorted(
+            position[y] for y, _, _ in orbits)
+        for y, size, orbit in orbits:
+            assert size == len(orbit)
+            assert min(position[m] for m in orbit) == position[y]
+        assert sum(size for _, size, _ in orbits) == g.order
+
+
 @pytest.mark.parametrize("descriptor", ["alt:5", "alt:6", "sym:5", "psl2:5",
                                         "psl2:7", "psl2:2^3", "psl2:3^2",
                                         "psl2:11", "psl2:13",

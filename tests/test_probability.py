@@ -37,6 +37,11 @@ def test_exact_probability_alt5_is_zero():
     assert exact_probability_exhaustive(AlternatingGroup(5)) == 0
 
 
+def test_exact_probability_alt7_frozen_value():
+    # the value the scan over every y in G gives
+    assert exact_probability_exhaustive(AlternatingGroup(7)) == Fraction(23621, 793800)
+
+
 def test_exact_probability_ab2_is_zero():
     assert exact_probability_exhaustive(AbelianSquare(2)) == 0
 

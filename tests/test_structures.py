@@ -14,7 +14,7 @@ from beauville.structures import (SearchInconclusive, Unrealizable,
                                   sigma_prime_fingerprints, verify_quadruple)
 from beauville.structures import _coprime_type_pairs, _hyperbolic
 
-from _oracles import sigma_full_fingerprints, sigma_prime_walk
+from _oracles import pair_census_all_y, sigma_full_fingerprints, sigma_prime_walk
 
 
 # -- triangle types ------------------------------------------------------------
@@ -320,6 +320,38 @@ def test_pair_census_enumerates_the_group_once():
     census = pair_census(g)
     assert calls == 1
     assert census.representatives == 5  # the non-identity classes of PSL2(7)
+
+
+@pytest.mark.parametrize("descriptor,targets", [
+    *((d, None) for d in ("alt:5", "sym:5", "alt:6", "sym:6", "psl2:7", "psl2:2^3",
+                          "psl2:11", "psl2:13", "ab:5", "ab:7")),
+    ("psl2:7", ((3, 3, 4), (7, 7, 7))),
+])
+def test_pair_census_equals_the_all_y_scan(descriptor, targets):
+    fast = pair_census(parse_group(descriptor), targets=targets)
+    brute = pair_census_all_y(parse_group(descriptor), targets)
+    assert fast.weights == brute.weights
+    assert list(fast.examples) == list(brute.examples)
+    for sig, by_type in fast.examples.items():
+        assert list(by_type.items()) == list(brute.examples[sig].items())
+    assert ((fast.generating_pairs, fast.pairs_checked, fast.representatives)
+            == (brute.generating_pairs, brute.pairs_checked, brute.representatives))
+
+
+def test_pair_census_tests_one_pair_per_centralizer_orbit():
+    g = AlternatingGroup(6)
+    calls = 0
+    generates = g.generates
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return generates(x, y)
+
+    g.generates = counted
+    census = pair_census(g)
+    assert census.pairs_checked == 2160  # 6 non-identity classes x |A_6|
+    assert calls == census.pairs_tested <= 2160 // 5
 
 
 @pytest.mark.parametrize("descriptor",
