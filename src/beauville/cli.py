@@ -229,15 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args):
-    G = parse_group(args.group)
+def _cmd_verify(args, G):
     quad = _split_elements(G, args.quad, 4)
     report = verify_quadruple(G, *quad, use_fastpath=not args.no_fastpath)
     return report.to_dict(G), 0 if report.ok else 1
 
 
-def _cmd_search(args):
-    G = parse_group(args.group)
+def _cmd_search(args, G):
     targets = None
     if args.type1 or args.type2:
         if not (args.type1 and args.type2):
@@ -252,8 +250,7 @@ def _cmd_search(args):
     return out.to_dict(G), 0 if out.found else 1
 
 
-def _cmd_triple(args):
-    G = parse_group(args.group)
+def _cmd_triple(args, G):
     if args.traces is not None:
         return _solve_traces(G, args.traces)
     if None in (args.r, args.s, args.t):
@@ -288,8 +285,7 @@ def _solve_traces(G, text):
             "pair_class": str(cls)}, 0
 
 
-def _cmd_classify(args):
-    G = parse_group(args.group)
+def _cmd_classify(args, G):
     if G.kind != "psl2":
         raise GroupError("classify applies to psl2 groups")
     x, y = _split_elements(G, args.pair, 2)
@@ -300,16 +296,14 @@ def _cmd_classify(args):
             "generates": cls.kind == "full"}, 0
 
 
-def _cmd_estimate(args):
-    G = parse_group(args.group)
+def _cmd_estimate(args, G):
     res = estimate_beauville_probability(
         G, args.samples, seed=args.seed, workers=args.workers,
         component_stats=not args.no_components)
     return res.to_dict(), 0
 
 
-def _cmd_stats(args):
-    G = parse_group(args.group)
+def _cmd_stats(args, G):
     comps = estimate_component_stats(G, args.samples, seed=args.seed,
                                      workers=args.workers)
     meta = comps.pop("_meta")
@@ -318,8 +312,7 @@ def _cmd_stats(args):
             "elapsed": meta["elapsed"]}, 0
 
 
-def _cmd_classes(args):
-    G = parse_group(args.group)
+def _cmd_classes(args, G):
     partition = ClassPartition(G, cap=args.cap_enumeration)
     return {"group": G.descriptor(), "count": len(partition),
             "classes": [
@@ -329,8 +322,7 @@ def _cmd_classes(args):
                 for c in partition.classes]}, 0
 
 
-def _cmd_frobenius(args):
-    G = parse_group(args.group)
+def _cmd_frobenius(args, G):
     partition = ClassPartition(G, cap=args.cap_enumeration)
     k = len(partition)
     for idx in (args.i, args.j, args.k):
@@ -346,8 +338,7 @@ def _cmd_frobenius(args):
                         for i in (args.i, args.j, args.k)]}, 0
 
 
-def _cmd_chartable(args):
-    G = parse_group(args.group)
+def _cmd_chartable(args, G):
     if args.save:
         table = _load_or_compute_table(G, args.cap_table, save=True)
         saved = _table_path(G.descriptor())
@@ -360,20 +351,19 @@ def _cmd_chartable(args):
             "saved": saved}, 0
 
 
-def _cmd_zeta(args):
-    G = parse_group(args.group)
+def _cmd_zeta(args, G):
     table = _load_or_compute_table(G, args.cap_table, save=False)
     value = witten_zeta(table.degrees, args.s)
     return {"group": G.descriptor(), "s": args.s, "zeta": value,
             "degrees": table.degrees}, 0
 
 
-def _cmd_hurwitz(args):
+def _cmd_hurwitz(args, G):
     ok = is_hurwitz_psl2(args.p, args.e)
     return {"p": args.p, "e": args.e, "hurwitz": ok}, 0 if ok else 1
 
 
-def _cmd_triangle(args):
+def _cmd_triangle(args, G):
     tri = classify_triangle(args.r, args.s, args.t)
     return tri.to_dict(), 0
 
@@ -462,7 +452,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        result, code = _DISPATCH[args.command](args)
+        G = parse_group(args.group) if hasattr(args, "group") else None
+        result, code = _DISPATCH[args.command](args, G)
     except (CapExceeded, TableInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -180,8 +180,6 @@ class GF:
         self.q = q
         self._divisors = [d for d in range(1, e + 1) if e % d == 0]  # subfield degrees
         self.modulus = find_irreducible(p, e)
-        self.zero = 0
-        self.one = 1
         if e > 1:
             if q > _TABLE_CAP:
                 raise FieldError(

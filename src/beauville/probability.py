@@ -64,7 +64,6 @@ class EstimationConfig:
     samples: int
     seed: int = DEFAULT_SEED
     workers: int = 1
-    component_stats: bool = True
 
     def __post_init__(self):
         if self.samples < 1:
@@ -95,45 +94,30 @@ class EstimateResult:
         }
 
 
+def _draw_pair(G: Group, rng, tallies: Counter):
+    """Draw x, then y, and count the pair under (generates, orders), with
+    orders = (|x|, |y|, |xy|) read if it generates or G is PSL2 (else None).
+    Returns (x, y, xy, orders) for a generating pair, else None."""
+    x, y = G.random_element(rng), G.random_element(rng)
+    gen = G.generates(x, y)
+    xy, orders = product_orders(G, x, y) if gen or G.kind == "psl2" else (None, None)
+    tallies[gen, orders] += 1
+    return (x, y, xy, orders) if gen else None
+
+
 def _is_beauville_sample(G: Group, rng, tallies: Counter) -> bool:
-    pairs = [(G.random_element(rng), G.random_element(rng)) for _ in range(2)]
-    gens = [G.generates(x, y) for x, y in pairs]
-    # PSL2 tallies read every pair's orders; other groups need them only if both generate
-    products = [product_orders(G, *pair) for pair in pairs] if G.kind == "psl2" else None
-    for i, gen in enumerate(gens):
-        _pair_tallies(G, products and products[i][1], gen, tallies)
-    if not all(gens):
+    first, second = _draw_pair(G, rng, tallies), _draw_pair(G, rng, tallies)
+    if first is None or second is None:
         return False
-    (xy1, o1), (xy2, o2) = products or [product_orders(G, *pair) for pair in pairs]
+    (x1, y1, xy1, o1), (x2, y2, xy2, o2) = first, second
     if math.gcd(math.prod(o1), math.prod(o2)) == 1:
         return True
-    return not (sigma_prime_fingerprints(G, *pairs[0], xy1)
-                & sigma_prime_fingerprints(G, *pairs[1], xy2))
-
-
-def _pair_tallies(G, orders, gen: bool, tallies: Counter) -> None:
-    """Add one pair's tallies; PSL2 reads them off orders = (|x|, |y|, |xy|).
-    Every key is added, zero counts included, so the same components are
-    emitted."""
-    tallies["elements"] += 2
-    tallies["pairs"] += 1
-    tallies["generating"] += gen
-    if G.kind != "psl2":
-        return
-    types = [G.order_type(o) for o in orders]
-    for st in ("split", "nonsplit", "unipotent"):
-        tallies[st] += types[:2].count(st)
-    tallies["triple_split"] += set(types) == {"split"}
-    tallies["triple_nonsplit"] += set(types) == {"nonsplit"}
-    # even order for odd q, order divisible by 3 for even q
-    k, key = (2, "even_order") if G.q % 2 else (3, "order_div3")
-    tallies[key] += sum(o % k == 0 for o in orders[:2])
+    return not (sigma_prime_fingerprints(G, x1, y1, xy1)
+                & sigma_prime_fingerprints(G, x2, y2, xy2))
 
 
 def _pair_sample(G: Group, rng, tallies: Counter) -> bool:
-    x, y = G.random_element(rng), G.random_element(rng)
-    orders = product_orders(G, x, y)[1] if G.kind == "psl2" else None
-    _pair_tallies(G, orders, G.generates(x, y), tallies)
+    _draw_pair(G, rng, tallies)
     return False
 
 
@@ -177,27 +161,41 @@ def estimate_beauville_probability(G: Group, samples: int,
     Deterministic for fixed (group, samples, seed) regardless of workers:
     RNG streams split per sample index and the reduction is order-free.
     """
-    cfg = EstimationConfig(G.descriptor(), samples, seed, workers, component_stats)
+    cfg = EstimationConfig(G.descriptor(), samples, seed, workers)
     t0 = time.perf_counter()
     successes, tallies = _run_samples(_is_beauville_sample, cfg)
-    components = _tallies_to_components(tallies) if component_stats else {}
+    components = _tallies_to_components(G, tallies) if component_stats else {}
     return EstimateResult(
         config=cfg, successes=successes, estimate=successes / samples,
         interval=wilson_interval(successes, samples), components=components,
         elapsed=time.perf_counter() - t0)
 
 
-def _tallies_to_components(tallies: dict) -> dict:
+def _tallies_to_components(G: Group, tallies: Counter) -> dict:
+    """Component fractions, each (generates, orders) key read once and
+    weighted by its count; every PSL2 key is emitted, zero counts included."""
+    counts: Counter = Counter()
+    for (gen, orders), n in tallies.items():
+        counts.update(elements=2 * n, pairs=n, generating=gen * n)
+        if G.kind != "psl2":
+            continue
+        types = [G.order_type(o) for o in orders]
+        for st in ("split", "nonsplit", "unipotent"):
+            counts[st] += types[:2].count(st) * n
+        counts["triple_split"] += (set(types) == {"split"}) * n
+        counts["triple_nonsplit"] += (set(types) == {"nonsplit"}) * n
+        # even order for odd q, order divisible by 3 for even q
+        k, key = (2, "even_order") if G.q % 2 else (3, "order_div3")
+        counts[key] += sum(o % k == 0 for o in orders[:2]) * n
     out = {}
-    elements = tallies.get("elements", 0)
-    pairs = tallies.get("pairs", 0)
+    elements, pairs = counts["elements"], counts["pairs"]
     for key, denom in (("split", elements), ("nonsplit", elements),
                        ("unipotent", elements), ("even_order", elements),
                        ("order_div3", elements),
                        ("triple_split", pairs), ("triple_nonsplit", pairs),
                        ("generating", pairs)):
-        if denom and key in tallies:
-            num = tallies[key]
+        if denom and key in counts:
+            num = counts[key]
             lo, hi = wilson_interval(num, denom)
             out[key] = {"fraction": num / denom, "count": num, "of": denom,
                         "wilson95": [lo, hi]}
@@ -211,7 +209,7 @@ def estimate_component_stats(G: Group, samples: int, seed: int = DEFAULT_SEED,
     cfg = EstimationConfig(G.descriptor(), samples, seed, workers)
     t0 = time.perf_counter()
     _, tallies = _run_samples(_pair_sample, cfg)
-    out = _tallies_to_components(tallies)
+    out = _tallies_to_components(G, tallies)
     out["_meta"] = {"group": cfg.group, "samples": samples, "seed": seed,
                     "workers": workers, "elapsed": time.perf_counter() - t0}
     return out

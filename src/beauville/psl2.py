@@ -19,15 +19,12 @@ either lift of a projective element is accepted.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 from .fields import gf
 from .groups import Group, GroupError, HandleMismatch, closure
 from .numutil import prime_factors
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -38,8 +35,7 @@ class SubgroupClass:
     'a4', 's4', 'a5', 'subfield', 'full'.  Subfield groups isomorphic to
     A4, S4 or A5 take those names (G itself, for q = 4 or 5, is 'full');
     the others are PSL2(p**degree) or PGL2(p**degree) up to conjugacy,
-    subfield_kind 'psl', 'pgl' or 'unknown' when the cheap discriminators
-    cannot tell.
+    subfield_kind 'psl' or 'pgl'.
     """
 
     kind: str
@@ -141,23 +137,15 @@ class PSL2(Group):
                           F.sub(F.mul(v1, v1), F.two))
         return v0
 
-    def is_split_trace(self, a) -> bool:
-        """Whether trace a (not +-2) belongs to split elements, i.e. the
-        eigenvalues lie in GF(q)."""
-        F = self.field
-        if self.p == 2:
-            u = F.inv(F.mul(a, a))
-            return F.absolute_trace(u) == 0
-        disc = F.sub(F.mul(a, a), F.of_int(4))
-        return F.is_square(disc)
-
     def _semisimple_order(self, a) -> int:
         """Projective order of the elements of trace a (a != +-2), memoized
-        by trace; only traces actually asked for are computed."""
+        by trace.  The torus is split iff V_{(q-1)/d}(a) = +-2: a split x
+        has x**((q-1)/d) = +-I, and a non-split x with that power +-I has
+        order dividing the coprime (q-1)/d and (q+1)/d, so a = +-2."""
         order = self._order_by_trace.get(a)
         if order is not None:
             return order
-        if self.is_split_trace(a):
+        if self._is_pm2(self.lucas_trace(self.split_order, a)):
             m, factors = self.split_order, self._split_factors
         else:
             m, factors = self.nonsplit_order, self._nonsplit_factors
@@ -357,6 +345,16 @@ class PSL2(Group):
         60), subfield groups included: PSL2(3) = A4, PGL2(3) = S4 and
         PSL2(4) = PSL2(5) = A5.  The only other case is G itself, of order
         60 when q is 4 or 5.
+
+        Proof of the PSL / PGL verdict.  Let K = F_{p^d0}; a**2, b**2, g**2
+        and abg lie in K.  For even q squaring is an automorphism, so a, b
+        and g lie in K.  For odd q a trace outside K lies in sqrt(v)*K for
+        one non-square v of K; one such trace puts abg in sqrt(v)*K, so a
+        trace in K is 0, and three make abg non-zero outside K.  Outer
+        elements of PGL2(K) have traces in sqrt(v)*K, so one with a trace in
+        K is an involution.  None or two of x, y, xy are outer and two
+        involutions were classified dihedral, so the pair lies in PSL2(K)
+        exactly when no trace is outside K.
         """
         F = self.field
         a = self.trace(x)
@@ -386,23 +384,8 @@ class PSL2(Group):
         pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
         d0 = math.lcm(*map(F.subfield_degree, pieces))
         if d0 < self.e:
-            # PGL2(p^d0) pairs have exactly two elements of (x, y, xy) in the
-            # outer coset, whose traces are sqrt(nonsquare)*F_{p^d0}.  Trace 0
-            # is ambiguous (inner and outer involutions both have it), but at
-            # most one of the three traces is 0 here, two involutions having
-            # been classified dihedral already, so the parity resolves it.
-            twisted = sum(1 for v in (a, b, g) if d0 % F.subfield_degree(v) != 0)
-            ambiguous = sum(1 for v in (a, b, g) if v == 0)
-            if twisted == 2 or (twisted == 1 and ambiguous >= 1):
-                kind = "pgl"
-            elif twisted == 0:
-                kind = "psl"
-            else:
-                kind = "unknown"
-                log.warning("unexpected twist pattern %s for traces (%s,%s,%s) in %s",
-                            twisted, F.format(a), F.format(b), F.format(g),
-                            self.descriptor())
-            return SubgroupClass("subfield", d0, kind)
+            twisted = any(d0 % F.subfield_degree(v) for v in (a, b, g))
+            return SubgroupClass("subfield", d0, "pgl" if twisted else "psl")
         return SubgroupClass("full")
 
     def generates(self, x, y) -> bool:

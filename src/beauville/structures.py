@@ -266,6 +266,11 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
 
 
 def _psl2_triple(G, r, s, t):
+    """The first generating solution over the non-singular triples of the
+    traces of orders r, s and t.  No solved matrix is +-I: B = e*I
+    (e = +-1) gives b = 2e and g = e*a, so a**2 + b**2 + g**2 - abg = 4,
+    and likewise for A and C.  A matrix other than +-I has the projective
+    order of its trace, so the solution has orders (r, s, t)."""
     try:
         cand = [G.traces_of_order(k) for k in (r, s, t)]
     except GroupError as exc:
@@ -275,8 +280,6 @@ def _psl2_triple(G, r, s, t):
             continue
         A, B, C = G.solve_trace_triple(a, b, g)
         x, y, z = G._canon(A), G._canon(B), G._canon(C)
-        if (G.order_of(x), G.order_of(y), G.order_of(z)) != (r, s, t):
-            continue
         if G.classify_pair(x, y).kind == "full":
             return GeneratingTriple(x, y, z, (r, s, t))
     raise Unrealizable(

@@ -77,12 +77,14 @@ def field_tables_brute(p, e):
 def traces_by_order_brute(G):
     """(traces by order, order by trace) of PSL2 ``G`` from a scan of every
     semisimple trace in encoding order, each order by a Lucas-ladder
-    descent from the order of its torus."""
+    descent from the order of its torus; the torus is split when the
+    eigenvalue equation x**2 - a*x + 1 = 0 has a root in GF(q)."""
+    F = G.field
     table, orders = {}, {}
-    for a in G.field.elements():
+    for a in F.elements():
         if G._is_pm2(a):
             continue
-        m = G.split_order if G.is_split_trace(a) else G.nonsplit_order
+        m = G.split_order if F.solve_quadratic(1, F.neg(a), 1) else G.nonsplit_order
         order = m
         for r in prime_factors(m):
             while order % r == 0 and G._is_pm2(G.lucas_trace(order // r, a)):

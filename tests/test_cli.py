@@ -500,6 +500,17 @@ PINNED_DIGESTS = [
      "c39a792b3ca5cfea0ae9b4699cb0c8880b4267f839c1969ec565b60e0c943a15"),
     (["search", "--group", "sym:4", "--strategy", "exhaustive"],
      "79036140f73b134e3202b18ea236ecd5a6e45047c263c2473f0bfd8a31444283"),
+    # one pair draw tallied by its (generates, orders) key: PSL2 stats over
+    # a subfield tower, a worker split, and the generation-only components
+    # of the other kinds
+    (["stats", "--group", "psl2:3^2", "--samples", "2000"],
+     "3a6bf990a958a85db78368444ac89ef22d4059c323c716141b8c9cddd409d0a0"),
+    (["estimate", "--group", "psl2:2^4", "--samples", "500", "--workers", "3"],
+     "d7306bbe9d22ac2a762e1aba6856a44cce3ffb25e77661c7b7fe25f83c7d9765"),
+    (["stats", "--group", "alt:7", "--samples", "300"],
+     "216b3f835f0c751eddea9a9ced6b60b9cc0dd555170b30261b9afd57352d1562"),
+    (["estimate", "--group", "ab:7", "--samples", "500"],
+     "6065e1545738b8bf938820147b051d57c05b1fde40e5428b901d2eb99a8d13b6"),
 ]
 
 

@@ -63,8 +63,9 @@ def test_split_type_consistent_with_order_divisibility(p, e):
         assert k == order_of_brute(g, m)
         if st in ("split", "nonsplit"):
             # split_type reads the order, so also check it against the
-            # independent eigenvalue test on the trace
-            assert (st == "split") == g.is_split_trace(g.trace(m))
+            # independent eigenvalue test: x**2 - a*x + 1 has a root in GF(q)
+            a = g.trace(m)
+            assert (st == "split") == bool(g.field.solve_quadratic(1, g.field.neg(a), 1))
         if st == "split":
             assert k > 1 and g.split_order % k == 0
         elif st == "nonsplit":
@@ -230,6 +231,25 @@ def test_trace_solver_postcondition_every_triple(p, e):
                 assert all(g.determinant(m) == 1 for m in (A, B, C))
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2), (11, 1)])
+def test_non_singular_triples_solve_to_non_scalar_matrices(p, e):
+    # B = +-I forces b = +-2 and g = +-a, so a**2 + b**2 + g**2 - abg = 4
+    # (likewise A and C): no matrix of a non-singular triple is scalar, so
+    # each has the projective order its trace has
+    g = PSL2(p, e)
+    F = g.field
+    scalars = {(1, 0, 0, 1), (F.minus_one, 0, 0, F.minus_one)}
+    solved = 0
+    for a in F.elements():
+        for b in F.elements():
+            for c in F.elements():
+                if g.is_singular_triple(a, b, c):
+                    continue
+                assert not scalars & set(g.solve_trace_triple(a, b, c))
+                solved += 1
+    assert solved
+
+
 # -- conjugacy fingerprints -----------------------------------------------------
 
 def test_two_unipotent_classes_distinct_psl2_7():
@@ -317,6 +337,31 @@ def test_classifier_on_deep_subfield_tower_q81():
         assert cls == classify_pair_brute(g, x, y)
         kinds.add((cls.kind, cls.subfield_kind))
     assert ("subfield", "pgl") in kinds and ("subfield", "psl") in kinds
+
+
+@pytest.mark.parametrize("p,e,any_subfield", [
+    (3, 2, False), (5, 2, True), (7, 2, True), (3, 3, False), (2, 4, False),
+    (3, 4, True), (2, 6, True)])
+def test_subfield_verdicts_have_a_proved_twist_count(p, e, any_subfield):
+    # the PSL / PGL verdict rests on this count: a subfield pair has 0 or 2
+    # of the traces a, b, g outside F_{p^d0}, or 1 beside a zero trace.
+    # Over 3^2, 3^3 and 2^4 every subfield group is dihedral, A4, S4 or A5
+    # and takes that name
+    g = PSL2(p, e)
+    F = g.field
+    rng = random.Random(7 * p + e)
+    seen = 0
+    for x, y in crafted_psl2_pairs(g, rng, n_random=60, n_special=20):
+        cls = g.classify_pair(x, y)
+        if cls.kind != "subfield":
+            continue
+        xy = g._mat_mul(x, y)
+        traces = (g.trace(x), g.trace(y), F.add(xy[0], xy[3]))
+        twisted = sum(cls.subfield_degree % F.subfield_degree(v) != 0 for v in traces)
+        assert twisted in (0, 2) or (twisted == 1 and 0 in traces)
+        assert cls.subfield_kind == ("pgl" if twisted else "psl")
+        seen += 1
+    assert bool(seen) == any_subfield
 
 
 # -- sampling ----------------------------------------------------------------
