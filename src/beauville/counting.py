@@ -64,10 +64,6 @@ class ClassPartition:
     """
 
     def __init__(self, group: Group, cap: int = ENUMERATION_CAP, members=None):
-        if group.order > cap:
-            raise CapExceeded(
-                f"conjugacy enumeration needs |G| = {group.order} <= {cap}",
-                required=group.order, cap=cap)
         self.group = group
         if members is None:
             members = {}

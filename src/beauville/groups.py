@@ -212,11 +212,6 @@ class AbelianSquare(Group):
     def format_element(self, a):
         return f"({a[0]},{a[1]})"
 
-    def element_of_order(self, k):
-        if self.n % k != 0:
-            raise GroupError(f"no element of order {k} in {self.descriptor()}")
-        return (self.n // k, 0)
-
 
 def closure(group: Group, gens, cap: int = 1_000_000, stop_above: int | None = None):
     """BFS multiplicative closure of the generators.

@@ -156,13 +156,14 @@ class PSL2(Group):
         self._order_by_trace[a] = order
         return order
 
+    def _trace_order(self, a) -> int:
+        """Projective order of the elements of trace a other than +-I."""
+        return self.p if self._is_pm2(a) else self._semisimple_order(a)
+
     def order_of(self, m):
         if m == (1, 0, 0, 1):
             return 1
-        a = self.trace(m)
-        if self._is_pm2(a):
-            return self.p
-        return self._semisimple_order(a)
+        return self._trace_order(self.trace(m))
 
     def order_type(self, order: int) -> str:
         """'identity', 'unipotent' (order p), 'split' or 'nonsplit' from an
@@ -355,20 +356,22 @@ class PSL2(Group):
         K is an involution.  None or two of x, y, xy are outer and two
         involutions were classified dihedral, so the pair lies in PSL2(K)
         exactly when no trace is outside K.
+
+        Proof of the orders.  g is the trace of XY for the canonical lifts
+        X, Y, so (a, b, g) has lift-consistent signs.  A non-singular triple
+        has none of X, Y, XY equal to +-I: X = eI (e = +-1) gives a = 2e and
+        g = eb, so a**2 + b**2 + g**2 - abg = 4, and likewise for Y; XY = eI
+        gives Y = eX**-1, so b = ea and g = 2e.  So each of |x|, |y|, |xy|
+        is the order of its trace.
         """
         F = self.field
         a = self.trace(x)
         b = self.trace(y)
-        # the product of the canonical lifts, NOT canonicalized: the
-        # singular and trace-field invariants need lift-consistent signs
-        # (negating x flips both a and g, which they tolerate; flipping g
-        # alone would break them)
-        xy_lift = self._mat_mul(x, y)
-        g = F.add(xy_lift[0], xy_lift[3])
+        g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
+                  F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
         if self.is_singular_triple(a, b, g):
             return SubgroupClass("structural")
-        orders = (self.order_of(x), self.order_of(y),
-                  self.order_of(self._canon(xy_lift)))
+        orders = tuple(map(self._trace_order, (a, b, g)))
         if sum(1 for o in orders if o == 2) >= 2:
             return SubgroupClass("dihedral")
         os = set(orders)

@@ -31,6 +31,7 @@ from itertools import chain, combinations_with_replacement, islice, product
 from .counting import ClassPartition
 from .groups import CapExceeded, Group, GroupError
 from .numutil import is_prime, prime_factors
+from .perms import BSGS, order_partition, permutation_of_shape
 
 DEFAULT_SEED = 1729
 PAIR_CAP = 2_000_000
@@ -160,8 +161,8 @@ class VerificationReport:
     def ok(self) -> bool:
         return self.cond_i and all(self.cond_ii) and self.cond_iii
 
-    def to_dict(self, G: Group | None = None) -> dict:
-        fmt = G.format_element if G is not None else repr
+    def to_dict(self, G: Group) -> dict:
+        fmt = G.format_element
         return {
             "group": self.group,
             "quadruple": [fmt(m) for m in self.quadruple],
@@ -181,14 +182,12 @@ class VerificationReport:
 
 
 def _generation_witness(G: Group, x, y) -> str:
-    from .psl2 import PSL2
-    if isinstance(G, PSL2):
+    if G.kind == "psl2":
         return str(G.classify_pair(x, y))
-    from .perms import BSGS, AlternatingGroup, SymmetricGroup
-    if isinstance(G, (AlternatingGroup, SymmetricGroup)):
-        return f"subgroup of order {BSGS([x, y], G.n).order} < {G.order}"
-    det = (x[0] * y[1] - x[1] * y[0]) % G.n
-    return f"gcd(det, n) = {math.gcd(det, G.n)} != 1"
+    if G.kind == "abelian":
+        det = (x[0] * y[1] - x[1] * y[0]) % G.n
+        return f"gcd(det, n) = {math.gcd(det, G.n)} != 1"
+    return f"subgroup of order {BSGS([x, y], G.n).order} < {G.order}"
 
 
 def verify_quadruple(G: Group, x1, y1, x2, y2,
@@ -256,21 +255,18 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
     """
     if min(r, s, t) < 2:
         raise Unrealizable("generating-triple orders must all be >= 2")
-    from .perms import AlternatingGroup, SymmetricGroup
-    from .psl2 import PSL2
-    if isinstance(G, PSL2):
+    if G.kind == "psl2":
         return _psl2_triple(G, r, s, t)
-    if isinstance(G, (AlternatingGroup, SymmetricGroup)):
-        return _perm_triple(G, r, s, t, seed, max_attempts)
-    return _abelian_triple(G, r, s, t)
+    if G.kind == "abelian":
+        return _abelian_triple(G, r, s, t)
+    return _perm_triple(G, r, s, t, seed, max_attempts)
 
 
 def _psl2_triple(G, r, s, t):
     """The first generating solution over the non-singular triples of the
-    traces of orders r, s and t.  No solved matrix is +-I: B = e*I
-    (e = +-1) gives b = 2e and g = e*a, so a**2 + b**2 + g**2 - abg = 4,
-    and likewise for A and C.  A matrix other than +-I has the projective
-    order of its trace, so the solution has orders (r, s, t)."""
+    traces of orders r, s and t.  No matrix of a non-singular triple is +-I
+    (proof in ``PSL2.classify_pair``), so each has the projective order of
+    its trace and the solution has orders (r, s, t)."""
     try:
         cand = [G.traces_of_order(k) for k in (r, s, t)]
     except GroupError as exc:
@@ -317,7 +313,6 @@ def _symmetric_shapes(n, r, s, t):
     (odd, even), (odd, odd) with all three shapes realizable is taken; when
     none is, S_n has no generating triple of type (r, s, t).
     """
-    from .perms import order_partition, permutation_of_shape
     for px, py in ((0, 1), (1, 0), (1, 1)):
         parts = [order_partition(n, k, par)
                  for k, par in ((r, px), (s, py), (t, px ^ py))]
@@ -361,11 +356,10 @@ class SearchOutcome:
     certificate: dict | None
     stats: dict
 
-    def to_dict(self, G: Group | None = None) -> dict:
+    def to_dict(self, G: Group) -> dict:
         out = {"found": self.found, "stats": self.stats}
         if self.quadruple is not None:
-            fmt = G.format_element if G is not None else repr
-            out["quadruple"] = [fmt(m) for m in self.quadruple]
+            out["quadruple"] = [G.format_element(m) for m in self.quadruple]
         if self.report is not None:
             out["report"] = self.report.to_dict(G)
         if self.certificate is not None:
@@ -403,12 +397,11 @@ def search_structure(G: Group, strategy: str = "auto",
     otherwise.
     """
     targets = _validate_targets(target_types)
-    from .psl2 import PSL2
     t0 = time.perf_counter()
     if strategy == "auto":
         if G.order <= AUTO_CENSUS_ORDER:
             return _exhaustive_search(G, targets, pair_cap, t0)
-        if isinstance(G, PSL2):
+        if G.kind == "psl2":
             try:
                 return _macbeath_search(G, targets, t0)
             except (SearchInconclusive, Unrealizable):
@@ -419,7 +412,7 @@ def search_structure(G: Group, strategy: str = "auto",
     if strategy == "exhaustive":
         return _exhaustive_search(G, targets, pair_cap, t0)
     if strategy == "macbeath":
-        if not isinstance(G, PSL2):
+        if G.kind != "psl2":
             raise GroupError("the macbeath strategy applies to psl2 groups only")
         return _macbeath_search(G, targets, t0)
     if strategy == "random":

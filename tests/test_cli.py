@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from beauville import cli
 from beauville.cli import run
 from beauville.counting import ClassPartition, TableInvalid
+from beauville.groups import closure, parse_group
 
 try:
     import jsonschema
 except ImportError:  # pragma: no cover
     jsonschema = None
+
+from _oracles import random_subfield_sl2, random_twisted_pgl
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "beauville",
                            "schemas", "cli_output.schema.json")
@@ -137,6 +141,31 @@ def test_search_verify_round_trip(capsys, group):
     assert code2 == 0 and doc2["result"]["ok"] is True
 
 
+def _subfield_pair(G, rng, first, size):
+    """A pair (first(G, 1, rng), subfield element) generating a subgroup of
+    the given order, found by BFS closure."""
+    while True:
+        pair = (first(G, 1, rng), random_subfield_sl2(G, 1, rng))
+        if len(closure(G, pair)) == size:
+            return pair
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_verify_names_psl_and_pgl_subfield_witnesses(capsys, seed):
+    # PSL2(7) (order 168) and PGL2(7) (order 336) inside PSL2(49): the
+    # verdict turns on whether a trace lies outside F_7, so on the sign of
+    # tr xy of the canonical lifts
+    G = parse_group("psl2:7^2")
+    rng = random.Random(seed)
+    quad = (_subfield_pair(G, rng, random_subfield_sl2, 168)
+            + _subfield_pair(G, rng, random_twisted_pgl, 336))
+    code, doc = _run_json(capsys, ["verify", "--group", "psl2:7^2", "--quad",
+                                   ";".join(map(G.format_element, quad))])
+    assert code == 1
+    assert doc["result"]["witnesses"]["pair1_subgroup"] == "subfield(:1, psl)"
+    assert doc["result"]["witnesses"]["pair2_subgroup"] == "subfield(:1, pgl)"
+
+
 def test_triple_traces_mode(capsys):
     code, doc = _run_json(capsys, ["triple", "--group", "psl2:13",
                                    "--traces", "3,5,6"])
@@ -148,7 +177,6 @@ def test_triple_traces_mode(capsys):
                                           "--traces", "3,5,7"])
     assert code_s == 0 and doc_sing["result"]["singular"] is True
     assert doc_sing["result"]["pair_class"] == "structural"
-    from beauville.groups import parse_group
     g = parse_group("psl2:13")
     A = g.parse_element(res["A"])
     B = g.parse_element(res["B"])
@@ -177,7 +205,6 @@ def test_triple_output_parses_back(capsys):
     code, doc = _run_json(capsys, ["triple", "--group", "psl2:13",
                                    "--r", "6", "--s", "6", "--t", "6"])
     assert code == 0
-    from beauville.groups import parse_group
     g = parse_group("psl2:13")
     x = g.parse_element(doc["result"]["x"])
     y = g.parse_element(doc["result"]["y"])
@@ -353,10 +380,11 @@ def test_table_invalid_exit_3(capsys, tmp_path, monkeypatch, argv):
     assert captured.err == "error: row orthogonality failed beyond tolerance\n"
 
 
-# sha256 of the --no-timing --format json stdout, each recorded before the
-# change it guards: the merge of the pair census and of the Monte Carlo
-# sampling loops into one code path each (ab, alt, psl2:13), and the
-# class-keyed Sigma and PSL2 order memos (the three large psl2 estimates)
+# sha256 of the --no-timing stdout (--format json unless argv names one),
+# each recorded before the change it guards: the merge of the pair census
+# and of the Monte Carlo sampling loops into one code path each (ab, alt,
+# psl2:13), and the class-keyed Sigma and PSL2 order memos (the three large
+# psl2 estimates)
 PINNED_DIGESTS = [
     (["search", "--group", "ab:5", "--strategy", "exhaustive"],
      "4123ee3a5324e1abc4a8695ca46627592b567731292170eebf6b0b67b847e729"),
@@ -511,6 +539,16 @@ PINNED_DIGESTS = [
      "216b3f835f0c751eddea9a9ced6b60b9cc0dd555170b30261b9afd57352d1562"),
     (["estimate", "--group", "ab:7", "--samples", "500"],
      "6065e1545738b8bf938820147b051d57c05b1fde40e5428b901d2eb99a8d13b6"),
+    # the text renderer's nested-dict and list branches, and the tsv
+    # renderer's stats and generic branches
+    (["search", "--group", "alt:5", "--strategy", "exhaustive", "--format", "text"],
+     "ea75fdaa0d060fac2ec2611db805f6679e451bde01bb7607fd134607ba98f0d8"),
+    (["classes", "--group", "alt:4", "--format", "text"],
+     "81361f0f70b66dc6a75cf0b79d97d7a560d8bc1daa58081212610ca96bfd7b35"),
+    (["stats", "--group", "psl2:7", "--samples", "50", "--format", "tsv"],
+     "810dc85742cefcd7cbac609d258b8bc0924b1d8f6df997580d9229a17279dcda"),
+    (["verify", "--group", "ab:5", "--quad", "(1,0);(0,1);(1,2);(2,1)", "--format", "tsv"],
+     "3f3a6bead2871b578024714e6b79de0027e9e86dbb9fc6a96e65979a6f7a4e92"),
 ]
 
 
@@ -518,7 +556,8 @@ PINNED_DIGESTS = [
                          ids=[" ".join(argv) for argv, _ in PINNED_DIGESTS])
 def test_pinned_json_output(capsys, tmp_path, monkeypatch, argv, digest):
     monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))  # no stale table
-    _, out = _run(capsys, argv + ["--no-timing", "--format", "json"])
+    fmt = [] if "--format" in argv else ["--format", "json"]
+    _, out = _run(capsys, argv + ["--no-timing"] + fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -135,6 +135,17 @@ def test_pow_matches_repeated_multiplication(spec, data):
     assert f.pow(a, k) == acc
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2)])
+def test_pow_negative_exponents_and_zero_base(p, e):
+    f = gf(p, e)
+    for a in range(1, f.q):
+        assert f.pow(a, -1) == f.inv(a)
+        assert f.mul(f.pow(a, -3), f.pow(a, 3)) == 1
+    assert f.pow(0, 0) == 1 and f.pow(0, 5) == 0
+    with pytest.raises(ZeroDivisionInField):
+        f.pow(0, -2)
+
+
 @given(st.sampled_from(TEST_SPECS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_sqrt_consistent_with_is_square(spec, data):

@@ -135,6 +135,16 @@ def test_group_axioms_spot_checks():
             assert g.order_of(a) == order_of_brute(g, a)
 
 
+@pytest.mark.parametrize("descriptor", ["ab:6", "alt:5", "psl2:3^2"])
+def test_power_with_negative_exponent_is_power_of_inverse(descriptor):
+    g = parse_group(descriptor)
+    rng = random.Random(5)
+    for _ in range(50):
+        a = g.random_element(rng)
+        assert g.power(a, -1) == g.inverse(a)
+        assert g.multiply(g.power(a, -4), g.power(a, 4)) == g.identity()
+
+
 def test_handle_mismatch_rejected():
     g = AbelianSquare(5)
     with pytest.raises(HandleMismatch):

@@ -134,6 +134,21 @@ def test_abelian_triple():
         find_generating_triple(g, 3, 5, 5)
 
 
+def test_abelian_triple_refuses_orders_and_skips_wrong_z_orders():
+    g = AbelianSquare(6)
+    with pytest.raises(Unrealizable, match="order 4 does not divide n = 6"):
+        find_generating_triple(g, 4, 2, 2)
+    # x = (1, 0): y = (3, 0) gives |z| = 3 but no generation, y = (0, 3)
+    # and (3, 3) give |z| = 6, so the sweep ends without a triple
+    with pytest.raises(Unrealizable, match=r"no generating triple of type \(6,2,3\)"):
+        find_generating_triple(g, 6, 2, 3)
+
+
+def test_perm_triple_inconclusive_when_attempts_run_out():
+    with pytest.raises(SearchInconclusive, match="in 1 random attempts"):
+        find_generating_triple(AlternatingGroup(8), 2, 3, 7, max_attempts=1)
+
+
 # -- sigma sets --------------------------------------------------------------------
 
 def test_sigma_examples():
@@ -366,6 +381,27 @@ def test_auto_search_certifies_tiny_groups_by_census(descriptor):
 def test_random_search_inconclusive_on_a5():
     with pytest.raises(SearchInconclusive):
         search_structure(AlternatingGroup(5), "random", max_attempts=500)
+
+
+def test_auto_search_falls_back_to_random_after_macbeath():
+    # equal target types share their classes, so macbeath verifies nothing
+    # and the 20 random attempts that follow end inconclusive
+    with pytest.raises(SearchInconclusive, match="in 20 random attempts"):
+        search_structure(PSL2(7), "auto", target_types=((3, 3, 4), (3, 3, 4)),
+                         max_attempts=20)
+
+
+def test_auto_search_takes_the_census_for_small_abelian_squares():
+    out = search_structure(AbelianSquare(8), "auto")  # |G| = 64 > 60
+    assert not out.found and out.stats["strategy"] == "exhaustive"
+    assert out.certificate["exhaustive"]
+    assert out.certificate["pairs_checked"] == 4032  # 63 classes times 64
+
+
+def test_macbeath_search_reports_its_last_error():
+    with pytest.raises(SearchInconclusive,
+                       match=r"exhausted 1 type pairs .*\(last: order 8 not realizable"):
+        search_structure(PSL2(7), "macbeath", target_types=((2, 3, 8), (3, 3, 4)))
 
 
 def test_psl2_q_even_structures():
