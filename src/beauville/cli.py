@@ -19,6 +19,7 @@ record per run (JSONL).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -53,11 +54,13 @@ def _table_path(descriptor: str) -> str:
     return os.path.join(cache_dir(), f"{name}.v{TABLE_FORMAT}.json")
 
 
-def _load_or_compute_table(source, cap: int, save: bool = True) -> CharacterTable:
-    """The cached table of G, the group ``source`` or that of the partition
-    ``source`` (which a miss reuses); a missing, unreadable or invalid file,
-    or one holding another group's table, is a miss (all but missing ones
-    with a warning), recomputed and, with ``save``, replaced atomically."""
+def _load_or_compute_table(source, cap: int, save: bool = True):
+    """(table, cache file holding it or None) for G, the group ``source`` or
+    that of the partition ``source`` (which a miss reuses); a missing,
+    unreadable or invalid file, or one holding another group's table, is a
+    miss (all but missing ones with a warning), recomputed and, with
+    ``save``, replaced atomically.  A cache that cannot be written is
+    skipped with a warning."""
     G = source.group if isinstance(source, ClassPartition) else source
     path = _table_path(G.descriptor())
     try:
@@ -68,24 +71,29 @@ def _load_or_compute_table(source, cap: int, save: bool = True) -> CharacterTabl
                 f"it holds the table of {table.group} (order "
                 f"{table.group_order}), not of {G.descriptor()} (order {G.order})")
         table.validate()
-        return table
+        return table, path
     except FileNotFoundError:
         pass
     except (OSError, ValueError, KeyError, TypeError, TableInvalid) as exc:
         print(f"warning: recomputing the character table, cache file {path} "
               f"is unusable: {type(exc).__name__}: {exc}", file=sys.stderr)
     table = character_table(source, cap=cap)
-    if save:
+    if not save:
+        return table, None
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
         os.makedirs(cache_dir(), exist_ok=True)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(table.to_json())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-    return table
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(table.to_json())
+        os.replace(tmp, path)
+    except OSError as exc:
+        print(f"warning: the character table is not saved, cache file {path} "
+              f"is unwritable: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return table, None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return table, path
 
 
 def _int_at_least(low: int):
@@ -331,7 +339,7 @@ def _cmd_frobenius(args, G):
     if args.method == "brute":
         count = frobenius_count_brute(partition, args.i, args.j, args.k)
     else:
-        table = _load_or_compute_table(partition, args.cap_table)
+        table, _ = _load_or_compute_table(partition, args.cap_table)
         count = frobenius_count_character(table, args.i, args.j, args.k)
     return {"group": G.descriptor(), "method": args.method, "count": count,
             "classes": [partition.classes[i].label()
@@ -340,8 +348,7 @@ def _cmd_frobenius(args, G):
 
 def _cmd_chartable(args, G):
     if args.save:
-        table = _load_or_compute_table(G, args.cap_table, save=True)
-        saved = _table_path(G.descriptor())
+        table, saved = _load_or_compute_table(G, args.cap_table)
     else:
         table = character_table(G, cap=args.cap_table)
         saved = None
@@ -352,7 +359,7 @@ def _cmd_chartable(args, G):
 
 
 def _cmd_zeta(args, G):
-    table = _load_or_compute_table(G, args.cap_table, save=False)
+    table, _ = _load_or_compute_table(G, args.cap_table, save=False)
     value = witten_zeta(table.degrees, args.s)
     return {"group": G.descriptor(), "s": args.s, "zeta": value,
             "degrees": table.degrees}, 0
@@ -450,6 +457,17 @@ def _render_tsv(envelope: dict) -> str:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:  # an --out that cannot be appended to is a usage error, before any work
+        log = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"error: cannot append to --out {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    with log:
+        return _run(args, log)
+
+
+def _run(args, log) -> int:
     t0 = time.perf_counter()
     try:
         G = parse_group(args.group) if hasattr(args, "group") else None
@@ -477,9 +495,7 @@ def run(argv=None) -> int:
         text = _render_text(envelope)
     print(text)
     if args.out:
-        record = _strip_timing(envelope) if args.no_timing else envelope
-        with open(args.out, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        log.write(json.dumps(envelope, sort_keys=True) + "\n")
     return code
 
 

@@ -5,6 +5,7 @@ hashable element payload:
 
 * ``identity()``, ``multiply``, ``inverse``, ``power``, ``order_of``
 * ``generates(x, y)`` -- exact test for <x, y> == G
+* ``read_pair(x, y)`` -- (generates, (|x|, |y|, |xy|)), orders None if not read
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
 * ``sigma_key(x)`` -- Sigma memo key (the fingerprint unless proven coarser)
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
@@ -102,6 +103,13 @@ class Group:
         """Key of the Sigma memo: an invariant of a that fixes the classes of
         its prime-order powers.  The conjugacy class always does."""
         return self.fingerprint(a)
+
+    def read_pair(self, x, y):
+        """(generates, (|x|, |y|, |x*y|)); the orders are None for a pair that
+        does not generate, unless the realization reads them for free (PSL2)."""
+        if not self.generates(x, y):
+            return False, None
+        return True, (self.order_of(x), self.order_of(y), self.order_of(self.multiply(x, y)))
 
     def conjugate(self, g, a):
         """g * a * g**-1."""

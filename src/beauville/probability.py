@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .groups import Group, parse_group
-from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census, product_orders,
-                         sigma_prime_fingerprints)
+from .structures import DEFAULT_SEED, PAIR_CAP, pair_census, sigma_prime_fingerprints
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
 
@@ -95,25 +94,23 @@ class EstimateResult:
 
 
 def _draw_pair(G: Group, rng, tallies: Counter):
-    """Draw x, then y, and count the pair under (generates, orders), with
-    orders = (|x|, |y|, |xy|) read if it generates or G is PSL2 (else None).
-    Returns (x, y, xy, orders) for a generating pair, else None."""
+    """Draw x, then y, and count the pair under its ``G.read_pair`` key.
+    Returns (x, y, orders) for a generating pair, else None."""
     x, y = G.random_element(rng), G.random_element(rng)
-    gen = G.generates(x, y)
-    xy, orders = product_orders(G, x, y) if gen or G.kind == "psl2" else (None, None)
-    tallies[gen, orders] += 1
-    return (x, y, xy, orders) if gen else None
+    gen, orders = key = G.read_pair(x, y)
+    tallies[key] += 1
+    return (x, y, orders) if gen else None
 
 
 def _is_beauville_sample(G: Group, rng, tallies: Counter) -> bool:
     first, second = _draw_pair(G, rng, tallies), _draw_pair(G, rng, tallies)
     if first is None or second is None:
         return False
-    (x1, y1, xy1, o1), (x2, y2, xy2, o2) = first, second
+    (x1, y1, o1), (x2, y2, o2) = first, second
     if math.gcd(math.prod(o1), math.prod(o2)) == 1:
         return True
-    return not (sigma_prime_fingerprints(G, x1, y1, xy1)
-                & sigma_prime_fingerprints(G, x2, y2, xy2))
+    return not (sigma_prime_fingerprints(G, x1, y1)
+                & sigma_prime_fingerprints(G, x2, y2))
 
 
 def _pair_sample(G: Group, rng, tallies: Counter) -> bool:

@@ -20,7 +20,7 @@ either lift of a projective element is accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import gf
 from .groups import Group, GroupError, HandleMismatch, closure
@@ -35,12 +35,14 @@ class SubgroupClass:
     'a4', 's4', 'a5', 'subfield', 'full'.  Subfield groups isomorphic to
     A4, S4 or A5 take those names (G itself, for q = 4 or 5, is 'full');
     the others are PSL2(p**degree) or PGL2(p**degree) up to conjugacy,
-    subfield_kind 'psl' or 'pgl'.
+    subfield_kind 'psl' or 'pgl'.  ``classify_pair`` also records the
+    pair's orders (|x|, |y|, |xy|), which equality ignores.
     """
 
     kind: str
     subfield_degree: int | None = None
     subfield_kind: str | None = None
+    orders: tuple | None = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         if self.kind == "subfield":
@@ -362,7 +364,8 @@ class PSL2(Group):
         has none of X, Y, XY equal to +-I: X = eI (e = +-1) gives a = 2e and
         g = eb, so a**2 + b**2 + g**2 - abg = 4, and likewise for Y; XY = eI
         gives Y = eX**-1, so b = ea and g = 2e.  So each of |x|, |y|, |xy|
-        is the order of its trace.
+        is the order of its trace.  A singular triple takes |x|, |y| from
+        ``order_of``, and |xy| = 1 iff y = x**-1, else the order of its trace.
         """
         F = self.field
         a = self.trace(x)
@@ -370,29 +373,34 @@ class PSL2(Group):
         g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
                   F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
         if self.is_singular_triple(a, b, g):
-            return SubgroupClass("structural")
+            xy = 1 if y == self.inverse(x) else self._trace_order(g)
+            return SubgroupClass("structural", orders=(self.order_of(x), self.order_of(y), xy))
         orders = tuple(map(self._trace_order, (a, b, g)))
         if sum(1 for o in orders if o == 2) >= 2:
-            return SubgroupClass("dihedral")
+            return SubgroupClass("dihedral", orders=orders)
         os = set(orders)
         if os <= {1, 2, 3, 4} or os <= {1, 2, 3, 5}:
             n = len(closure(self, (x, y), stop_above=60))
             if n == self.order:
-                return SubgroupClass("full")
+                return SubgroupClass("full", orders=orders)
             if n <= 60:
                 assert n in (12, 24, 60), f"closure of order {n} in {self.descriptor()}"
-                return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n])
+                return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n], orders=orders)
         if self.e == 1:  # a prime field has no proper subfield
-            return SubgroupClass("full")
+            return SubgroupClass("full", orders=orders)
         pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
         d0 = math.lcm(*map(F.subfield_degree, pieces))
         if d0 < self.e:
             twisted = any(d0 % F.subfield_degree(v) for v in (a, b, g))
-            return SubgroupClass("subfield", d0, "pgl" if twisted else "psl")
-        return SubgroupClass("full")
+            return SubgroupClass("subfield", d0, "pgl" if twisted else "psl", orders=orders)
+        return SubgroupClass("full", orders=orders)
 
     def generates(self, x, y) -> bool:
         return self.classify_pair(x, y).kind == "full"
+
+    def read_pair(self, x, y):
+        cls = self.classify_pair(x, y)
+        return cls.kind == "full", cls.orders
 
     # -- element lookup by order -------------------------------------------------
 

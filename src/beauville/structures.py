@@ -39,6 +39,8 @@ PAIR_CAP = 2_000_000
 # takes a fraction of a second and certifies, where random search could only
 # end inconclusive (no non-abelian group this small has a structure)
 AUTO_CENSUS_ORDER = 60
+# the macbeath strategy's fallback tries at most this many coprime type pairs
+COPRIME_TYPE_PAIRS = 40
 
 
 class Unrealizable(GroupError):
@@ -99,21 +101,13 @@ def is_hurwitz_psl2(p: int, e: int) -> bool:
 # triple types and Sigma sets
 # ---------------------------------------------------------------------------
 
-def product_orders(G: Group, x, y) -> tuple:
-    """x*y and the orders (|x|, |y|, |x*y|).  |x*y| = |z| for z = (x*y)**-1,
-    so the sorted orders are the type of the triple."""
-    xy = G.multiply(x, y)
-    return xy, (G.order_of(x), G.order_of(y), G.order_of(xy))
-
-
-def sigma_prime_fingerprints(G: Group, x, y, xy=None) -> frozenset:
+def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
     """Conjugacy fingerprints of the prime-order elements among all powers
     of x, y and z = (x*y)**-1.  Two triples have trivially intersecting
     Sigma sets exactly when these sets are disjoint.  z and x*y have the
-    same powers, so x*y stands for z; a caller that has it passes it."""
-    xy = G.multiply(x, y) if xy is None else xy
+    same powers, so x*y stands for z."""
     return (_prime_power_classes(G, x) | _prime_power_classes(G, y)
-            | _prime_power_classes(G, xy))
+            | _prime_power_classes(G, G.multiply(x, y)))
 
 
 def _prime_power_classes(G: Group, g) -> frozenset:
@@ -202,8 +196,8 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
     t0 = time.perf_counter()
     for m in (x1, y1, x2, y2):
         G.check_element(m)
-    (xy1, o1), (xy2, o2) = product_orders(G, x1, y1), product_orders(G, x2, y2)
-    type1, type2 = tuple(sorted(o1)), tuple(sorted(o2))
+    z1, z2 = G.inverse(G.multiply(x1, y1)), G.inverse(G.multiply(x2, y2))
+    type1, type2 = (tuple(sorted(map(G.order_of, t))) for t in ((x1, y1, z1), (x2, y2, z2)))
     witnesses: dict = {}
 
     gen1, gen2 = G.generates(x1, y1), G.generates(x2, y2)
@@ -213,14 +207,14 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
         witnesses["pair2_subgroup"] = _generation_witness(G, x2, y2)
 
     fastpath = use_fastpath and math.gcd(math.prod(type1), math.prod(type2)) == 1
-    shared = frozenset() if fastpath else (sigma_prime_fingerprints(G, x1, y1, xy1)
-                                           & sigma_prime_fingerprints(G, x2, y2, xy2))
+    shared = frozenset() if fastpath else (sigma_prime_fingerprints(G, x1, y1)
+                                           & sigma_prime_fingerprints(G, x2, y2))
     if shared:
         witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
 
     return VerificationReport(
         group=G.descriptor(), quadruple=(x1, y1, x2, y2),
-        z1=G.inverse(xy1), z2=G.inverse(xy2), type1=type1, type2=type2,
+        z1=z1, z2=z2, type1=type1, type2=type2,
         hyperbolic1=_hyperbolic(type1), hyperbolic2=_hyperbolic(type2),
         cond_i=True, cond_ii=(gen1, gen2), cond_iii=not shared,
         coprime_fastpath=fastpath, witnesses=witnesses,
@@ -480,14 +474,14 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
         x = cls.representative
         for y, size in G.centralizer_orbits(x, elements):
             tested += 1
-            if not G.generates(x, y):
+            gen, orders = G.read_pair(x, y)
+            if not gen:
                 continue
             gen_pairs += size
-            xy, orders = product_orders(G, x, y)
             tau = tuple(sorted(orders))
             if targets and tau not in targets:
                 continue
-            sig = sigma_prime_fingerprints(G, x, y, xy)
+            sig = sigma_prime_fingerprints(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size * size
             examples.setdefault(sig, {}).setdefault(tau, (x, y))
     return PairCensus(weights, examples, required, gen_pairs, len(reps), tested)
@@ -535,10 +529,10 @@ def _random_search(G, targets, seed, max_attempts, t0):
     def draw(target):
         """A random generating pair of the target type, or None."""
         x, y = G.random_element(rng), G.random_element(rng)
-        if G.generates(x, y) and (
-                not target or tuple(sorted(product_orders(G, x, y)[1])) == target):
-            return x, y
-        return None
+        if not target:
+            return (x, y) if G.generates(x, y) else None
+        gen, orders = G.read_pair(x, y)
+        return (x, y) if gen and tuple(sorted(orders)) == target else None
 
     for attempts in range(1, max_attempts + 1):
         pair1 = draw(target1)
@@ -597,8 +591,9 @@ def _hyperbolic(tau) -> bool:
     return r * s + s * t + t * r < r * s * t
 
 
-def _coprime_type_pairs(G, limit: int = 40):
-    """Hyperbolic type pairs with coprime order products, smallest first.
+def _coprime_type_pairs(G):
+    """The first COPRIME_TYPE_PAIRS hyperbolic type pairs with coprime order
+    products, smallest first.
 
     A generator: nothing is built until the first pair is asked for."""
     orders = sorted(o for o in G.realizable_orders() if o >= 2)
@@ -606,4 +601,4 @@ def _coprime_type_pairs(G, limit: int = 40):
                      key=lambda tau: (math.prod(tau), tau))
     pairs = ((tau1, tau2) for tau1, tau2 in combinations_with_replacement(triples, 2)
              if math.gcd(math.prod(tau1), math.prod(tau2)) == 1)
-    yield from islice(pairs, limit)
+    yield from islice(pairs, COPRIME_TYPE_PAIRS)

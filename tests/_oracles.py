@@ -13,7 +13,7 @@ from beauville.counting import ClassPartition
 from beauville.groups import closure
 from beauville.numutil import prime_factors
 from beauville.psl2 import SubgroupClass
-from beauville.structures import PairCensus, product_orders, sigma_prime_fingerprints
+from beauville.structures import PairCensus, sigma_prime_fingerprints
 
 
 def add_digitwise(F, a, b):
@@ -380,11 +380,11 @@ def pair_census_all_y(G, targets=None):
             if not G.generates(x, y):
                 continue
             gen_pairs += 1
-            xy, orders = product_orders(G, x, y)
+            orders = (G.order_of(x), G.order_of(y), G.order_of(G.multiply(x, y)))
             tau = tuple(sorted(orders))
             if targets and tau not in targets:
                 continue
-            sig = sigma_prime_fingerprints(G, x, y, xy)
+            sig = sigma_prime_fingerprints(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size
             examples.setdefault(sig, {}).setdefault(tau, (x, y))
     tested = len(reps) * G.order

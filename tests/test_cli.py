@@ -273,6 +273,44 @@ def test_out_appends_jsonl(capsys, tmp_path):
     assert all(json.loads(line)["command"] == "hurwitz" for line in lines)
 
 
+def _blocked_path(tmp_path, kind):
+    """A path that cannot be opened: a directory, or one under a regular file."""
+    if kind == "directory":
+        return tmp_path
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "below"
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-file"])
+def test_out_that_cannot_be_appended_exits_2_before_the_work(capsys, tmp_path, kind):
+    code = run(["hurwitz", "--p", "7", "--e", "1", "--no-timing",
+                "--out", str(_blocked_path(tmp_path, kind))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--group", "alt:5", "--save"],
+    ["frobenius", "--group", "alt:5", "--i", "2", "--j", "2", "--k", "2",
+     "--method", "character"],
+], ids=lambda a: a[0])
+def test_unwritable_cache_keeps_the_answer(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path / "clean"))
+    code, clean = _run_json(capsys, argv)
+    assert code == 0
+    blocked = _blocked_path(tmp_path, "under-file")
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(blocked))
+    code = run(argv + ["--format", "json", "--no-timing"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 0 and "Traceback" not in captured.err
+    assert "warning:" in captured.err and str(blocked) in captured.err
+    if argv[0] == "chartable":
+        assert clean["result"].pop("saved") and doc["result"].pop("saved") is None
+    assert doc == clean
+
+
 def test_chartable_cache_roundtrip(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
     code, doc = _run_json(capsys, ["chartable", "--group", "alt:5", "--save"])
@@ -539,6 +577,12 @@ PINNED_DIGESTS = [
      "216b3f835f0c751eddea9a9ced6b60b9cc0dd555170b30261b9afd57352d1562"),
     (["estimate", "--group", "ab:7", "--samples", "500"],
      "6065e1545738b8bf938820147b051d57c05b1fde40e5428b901d2eb99a8d13b6"),
+    # one read_pair per draw: identity draws are frequent in these small
+    # groups, so these fix how the components count them
+    (["stats", "--group", "psl2:5", "--samples", "3000"],
+     "6ac9069fd6bd3398825f7707dd1bed469250c810874e9224a485e2cc8e4e666a"),
+    (["stats", "--group", "psl2:2^2", "--samples", "3000"],
+     "2886d368ce7036b8214cea718ccedf57c565d52fd7c18873664a66b87c6606a6"),
     # the text renderer's nested-dict and list branches, and the tsv
     # renderer's stats and generic branches
     (["search", "--group", "alt:5", "--strategy", "exhaustive", "--format", "text"],

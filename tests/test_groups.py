@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from beauville.counting import ClassPartition
 from beauville.groups import (AbelianSquare, CapExceeded, GroupError,
                               HandleMismatch, closure, parse_group)
 from beauville.perms import AlternatingGroup, SymmetricGroup
@@ -173,3 +174,40 @@ def test_psl2_parse_accepts_either_lift():
     m = g.parse_element("[[1,1],[0,1]]")
     m_neg = g.parse_element("[[6,6],[0,6]]")
     assert m == m_neg
+
+
+def _read_pair_plain(g, x, y):
+    """(generates, orders) from the plain contract: generates, multiply
+    and order_of."""
+    return g.generates(x, y), tuple(map(g.order_of, (x, y, g.multiply(x, y))))
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:5", "psl2:7", "psl2:2^2",
+                                        "psl2:2^3", "psl2:3^2"])
+def test_psl2_read_pair_matches_the_plain_contract(descriptor):
+    # every pair of the three smallest groups; x over class representatives
+    # (the identity included) and every y for the other two.  y = x**-1 and
+    # the singular triples of x = +-I are among these pairs
+    g = parse_group(descriptor)
+    elements = list(g.elements())
+    xs = elements if g.order <= 168 else [
+        c.representative for c in ClassPartition(g).classes]
+    for x in xs:
+        for y in elements:
+            assert g.read_pair(x, y) == _read_pair_plain(g, x, y), (
+                g.format_element(x), g.format_element(y))
+
+
+@pytest.mark.parametrize("descriptor", ["alt:6", "sym:5", "ab:6"])
+def test_read_pair_orders_only_generating_pairs(descriptor):
+    g = parse_group(descriptor)
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(400):
+        x, y = g.random_element(rng), g.random_element(rng)
+        gen, orders = g.read_pair(x, y)
+        plain_gen, plain_orders = _read_pair_plain(g, x, y)
+        assert gen == plain_gen
+        assert orders == (plain_orders if gen else None)
+        seen.add(gen)
+    assert seen == {False, True}
