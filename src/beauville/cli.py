@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -108,8 +109,8 @@ def _int_at_least(low: int):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not (value > 0 and math.isfinite(value)):  # JSON has no nan or inf
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
     return value
 
 

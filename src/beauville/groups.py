@@ -7,7 +7,7 @@ hashable element payload:
 * ``generates(x, y)`` -- exact test for <x, y> == G
 * ``read_pair(x, y)`` -- (generates, (|x|, |y|, |xy|)), orders None if not read
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
-* ``sigma_key(x)`` -- Sigma memo key (the fingerprint unless proven coarser)
+* ``prime_power_classes(x)`` -- classes of x's prime-order powers, memoized
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
 * ``random_element(rng)`` -- exactly uniform, rng owned by the caller
@@ -21,7 +21,10 @@ Group handle text encodings: ``psl2:p^e``, ``alt:n``, ``sym:n``, ``ab:n``.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import repeat
+
+from .numutil import prime_factors
 
 
 class GroupError(ValueError):
@@ -46,6 +49,7 @@ class Group:
 
     kind = "?"
     order: int
+    _sigma_memo = cached_property(lambda self: {})  # made on first use
 
     # -- required surface ---------------------------------------------------
 
@@ -99,10 +103,22 @@ class Group:
             k >>= 1
         return result
 
-    def sigma_key(self, a):
-        """Key of the Sigma memo: an invariant of a that fixes the classes of
-        its prime-order powers.  The conjugacy class always does."""
-        return self.fingerprint(a)
+    def prime_power_classes(self, a, key=None):
+        """Fingerprints of the prime-order powers of a, memoized on the handle
+        under ``key``, an invariant of a fixing them (by default its class)."""
+        memo = self._sigma_memo
+        key = self.fingerprint(a) if key is None else key
+        sigma = memo.get(key)
+        if sigma is None:
+            out = set()
+            n = self.order_of(a)
+            for r in prime_factors(n):
+                h = cur = self.power(a, n // r)
+                for _ in range(r - 1):
+                    out.add(self.fingerprint(cur))
+                    cur = self.multiply(cur, h)
+            sigma = memo[key] = frozenset(out)
+        return sigma
 
     def read_pair(self, x, y):
         """(generates, (|x|, |y|, |x*y|)); the orders are None for a pair that
@@ -144,6 +160,9 @@ class Group:
 
     def __hash__(self):
         return hash(self.descriptor())
+
+    def __reduce__(self):  # a copy is a fresh handle: memos stay behind
+        return (parse_group, (self.descriptor(),))
 
 
 class AbelianSquare(Group):

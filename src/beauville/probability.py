@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import Group, parse_group
+from .groups import Group
 from .structures import DEFAULT_SEED, PAIR_CAP, pair_census, sigma_prime_fingerprints
 
 WILSON_Z = 1.959963984540054  # 97.5% normal quantile
@@ -118,30 +118,30 @@ def _pair_sample(G: Group, rng, tallies: Counter) -> bool:
     return False
 
 
-def _sample_range(sample, descriptor: str, seed: int, start: int,
+def _sample_range(sample, G: Group, seed: int, start: int,
                   stop: int) -> tuple[int, Counter]:
-    G = parse_group(descriptor)
     tallies: Counter = Counter()
     successes = sum(sample(G, _sample_rng(seed, idx), tallies)
                     for idx in range(start, stop))
     return successes, tallies
 
 
-def _run_samples(sample, cfg: EstimationConfig) -> tuple[int, Counter]:
-    """Draw sample indices 0..samples-1 with ``sample(G, rng, tallies)``,
+def _run_samples(sample, G: Group, cfg: EstimationConfig) -> tuple[int, Counter]:
+    """Draw sample indices 0..samples-1 on G with ``sample(G, rng, tallies)``,
     which adds its tallies and returns its success, and sum both; with
-    several workers the index range is cut into chunks run in a process
-    pool."""
+    several workers the index range is cut into chunks, run on copies of G in
+    a pool of at most one process per chunk and per CPU, or here if that is 1."""
     pieces = min(cfg.workers * 8 if cfg.workers > 1 else 1, cfg.samples)
     step = -(-cfg.samples // pieces)
-    args = [(sample, cfg.group, cfg.seed, lo, min(lo + step, cfg.samples))
+    args = [(sample, G, cfg.seed, lo, min(lo + step, cfg.samples))
             for lo in range(0, cfg.samples, step)]
-    if cfg.workers == 1 or len(args) == 1:
+    size = min(cfg.workers, len(args), os.cpu_count() or 1)
+    if size == 1:
         parts = [_sample_range(*a) for a in args]
     else:
         import multiprocessing as mp
         ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-        with ctx.Pool(cfg.workers) as pool:
+        with ctx.Pool(size) as pool:
             parts = pool.starmap(_sample_range, args)
     tallies: Counter = Counter()
     for _, t in parts:
@@ -160,7 +160,7 @@ def estimate_beauville_probability(G: Group, samples: int,
     """
     cfg = EstimationConfig(G.descriptor(), samples, seed, workers)
     t0 = time.perf_counter()
-    successes, tallies = _run_samples(_is_beauville_sample, cfg)
+    successes, tallies = _run_samples(_is_beauville_sample, G, cfg)
     components = _tallies_to_components(G, tallies) if component_stats else {}
     return EstimateResult(
         config=cfg, successes=successes, estimate=successes / samples,
@@ -205,7 +205,7 @@ def estimate_component_stats(G: Group, samples: int, seed: int = DEFAULT_SEED,
     pairs (each pair also contributes its two elements)."""
     cfg = EstimationConfig(G.descriptor(), samples, seed, workers)
     t0 = time.perf_counter()
-    _, tallies = _run_samples(_pair_sample, cfg)
+    _, tallies = _run_samples(_pair_sample, G, cfg)
     out = _tallies_to_components(G, tallies)
     out["_meta"] = {"group": cfg.group, "samples": samples, "seed": seed,
                     "workers": workers, "elapsed": time.perf_counter() - t0}

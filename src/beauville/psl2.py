@@ -177,9 +177,9 @@ class PSL2(Group):
             return "unipotent"
         return "split" if self.split_order % order == 0 else "nonsplit"
 
-    def sigma_key(self, m):
-        """The order of m, or for a unipotent m with p odd and e even its
-        fingerprint: either fixes the classes of the prime-order powers of m.
+    def prime_power_classes(self, m):
+        """Fingerprints of the prime-order powers of m, memoized by the order
+        of a semisimple m and read in closed form for a unipotent m.
 
         Proof.  For a prime r != p dividing |m|, the order-r powers of m fill
         the order-r subgroup of a cyclic torus, into which every element of
@@ -189,9 +189,11 @@ class PSL2(Group):
         even, non-squares among them when e is odd (k**((q-1)/2) = (-1)**e).
         """
         order = self.order_of(m)
-        if order == self.p and self.d == 2 and self.e % 2 == 0:
-            return self.fingerprint(m)
-        return order
+        if order != self.p:
+            return Group.prime_power_classes(self, m, order)
+        if self.d == 2 and self.e % 2:
+            return frozenset({("u", 0), ("u", 1)})
+        return frozenset({self.fingerprint(m)})
 
     # -- conjugacy fingerprints ---------------------------------------------------
 

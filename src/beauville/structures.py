@@ -30,7 +30,7 @@ from itertools import chain, combinations_with_replacement, islice, product
 
 from .counting import ClassPartition
 from .groups import CapExceeded, Group, GroupError
-from .numutil import is_prime, prime_factors
+from .numutil import is_prime
 from .perms import BSGS, order_partition, permutation_of_shape
 
 DEFAULT_SEED = 1729
@@ -106,28 +106,8 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
     of x, y and z = (x*y)**-1.  Two triples have trivially intersecting
     Sigma sets exactly when these sets are disjoint.  z and x*y have the
     same powers, so x*y stands for z."""
-    return (_prime_power_classes(G, x) | _prime_power_classes(G, y)
-            | _prime_power_classes(G, G.multiply(x, y)))
-
-
-def _prime_power_classes(G: Group, g) -> frozenset:
-    """Fingerprints of the prime-order powers of g, memoized on the handle
-    under ``G.sigma_key(g)``, an invariant that fixes the set (conjugate
-    elements have conjugate powers), so the walk runs once per key."""
-    memo = vars(G).setdefault("_sigma_memo", {})
-    key = G.sigma_key(g)
-    sigma = memo.get(key)
-    if sigma is None:
-        out = set()
-        n = G.order_of(g)
-        for r in prime_factors(n) if n > 1 else ():
-            h = G.power(g, n // r)
-            cur = h
-            for _ in range(r - 1):
-                out.add(G.fingerprint(cur))
-                cur = G.multiply(cur, h)
-        sigma = memo[key] = frozenset(out)
-    return sigma
+    return (G.prime_power_classes(x) | G.prime_power_classes(y)
+            | G.prime_power_classes(G.multiply(x, y)))
 
 
 # ---------------------------------------------------------------------------

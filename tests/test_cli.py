@@ -107,7 +107,10 @@ def test_zero_cap_is_valid_and_refuses(capsys):
     ["classes", "--group", "psl2:4^x"],
     ["zeta", "--group", "psl2:7", "--s", "0"],
     ["zeta", "--group", "psl2:7", "--s", "-1"],
-], ids=["ab:x", "psl2:4^x", "s=0", "s=-1"])
+    ["zeta", "--group", "psl2:7", "--s", "inf"],
+    ["zeta", "--group", "psl2:7", "--s", "1e400"],
+    ["zeta", "--group", "psl2:7", "--s", "nan"],
+], ids=["ab:x", "psl2:4^x", "s=0", "s=-1", "s=inf", "s=1e400", "s=nan"])
 def test_malformed_number_exit_2(capsys, argv):
     try:
         code = run(argv)
@@ -583,6 +586,11 @@ PINNED_DIGESTS = [
      "6ac9069fd6bd3398825f7707dd1bed469250c810874e9224a485e2cc8e4e666a"),
     (["stats", "--group", "psl2:2^2", "--samples", "3000"],
      "2886d368ce7036b8214cea718ccedf57c565d52fd7c18873664a66b87c6606a6"),
+    # the unipotent prime-power classes read in closed form (p odd, e odd:
+    # both classes) instead of walked through p - 1 matrix products
+    (["verify", "--group", "psl2:1000003", "--no-fastpath", "--quad",
+      "[[1,1],[0,1]];[[1,1],[0,1]];[[1,0],[1,1]];[[1,0],[1,1]]"],
+     "8ef3cc1da444b6ec5be26558447c643a3c336edd4132a21edde01e401bcd75c7"),
     # the text renderer's nested-dict and list branches, and the tsv
     # renderer's stats and generic branches
     (["search", "--group", "alt:5", "--strategy", "exhaustive", "--format", "text"],

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -211,3 +212,16 @@ def test_read_pair_orders_only_generating_pairs(descriptor):
         assert orders == (plain_orders if gen else None)
         seen.add(gen)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:3^2", "alt:6", "sym:5", "ab:7"])
+def test_pickled_handle_is_a_fresh_equal_handle(descriptor):
+    # pool workers receive the caller's handle this way: rebuilt from its
+    # descriptor, with none of the caller's memos
+    g = parse_group(descriptor)
+    x = g.random_element(random.Random(17))
+    sigma = g.prime_power_classes(x)
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and copy is not g and type(copy) is type(g)
+    assert "_sigma_memo" in vars(g) and "_sigma_memo" not in vars(copy)
+    assert copy.prime_power_classes(x) == sigma

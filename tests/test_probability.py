@@ -1,8 +1,11 @@
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from beauville import probability
 from beauville.groups import AbelianSquare, parse_group
 from beauville.perms import AlternatingGroup
 from beauville.psl2 import PSL2
@@ -89,6 +92,51 @@ def test_worker_count_does_not_change_result():
     r4 = estimate_beauville_probability(g, 1200, seed=9, workers=4)
     assert r1.successes == r2.successes == r4.successes
     assert r1.components == r2.components == r4.components
+
+
+class _InProcessContext:
+    """A stand-in multiprocessing context whose pool records its size and runs
+    each task in this process on a pickled copy of its arguments."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        return [fn(*pickle.loads(pickle.dumps(a))) for a in args]
+
+
+def test_pool_has_at_most_one_process_per_chunk_and_cpu(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: _InProcessContext(sizes))
+    monkeypatch.setattr(probability.os, "cpu_count", lambda: 4)
+    g = PSL2(13)
+    few = estimate_beauville_probability(g, 3, seed=9, workers=64)
+    many = estimate_beauville_probability(g, 600, seed=9, workers=64)
+    assert sizes == [3, 4]
+    assert few.to_dict()["workers"] == many.to_dict()["workers"] == 64
+    serial = estimate_beauville_probability(g, 600, seed=9, workers=1)
+    assert (many.successes, many.components) == (serial.successes, serial.components)
+
+
+def test_estimate_leaves_its_sigma_memo_on_the_callers_handle():
+    g = PSL2(13)
+    estimate_beauville_probability(g, 300, seed=3)
+    memo = dict(g._sigma_memo)
+    assert memo
+    # a second run on the same handle finds every key it needs there
+    estimate_beauville_probability(g, 300, seed=3)
+    assert g._sigma_memo == memo
 
 
 def test_different_seeds_differ():

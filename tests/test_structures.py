@@ -196,13 +196,34 @@ def test_sigma_memo_matches_uncached_walk(descriptor):
 @pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:2^3", "psl2:3^2", "psl2:2^4",
                                         "psl2:5^2", "psl2:3^3", "psl2:7^2"])
 def test_sigma_key_fixes_prime_power_classes_of_every_element(descriptor):
-    # Fact B on one warm handle: the memo answers each element from the first
-    # element of its sigma_key (its order, or its class for a unipotent with
-    # p odd and e even), so every element is checked against its own walk
+    # Fact B on one warm handle: PSL2.prime_power_classes answers a semisimple
+    # element from the memo under its order, filled by the first element of
+    # that order, and a unipotent in closed form (both classes for p and e
+    # odd, its own class otherwise), so every element is checked against its
+    # own walk
     g = parse_group(descriptor)
     e = g.identity()
     for x in g.iter_elements():
         assert sigma_prime_fingerprints(g, x, e) == sigma_prime_walk(g, x, e)
+
+
+def test_unipotent_prime_power_classes_need_no_walk(monkeypatch):
+    # the walk would take p - 1 = 1000002 products; Fact B reads the set off
+    # p and e (both odd here: both unipotent classes)
+    g = PSL2(1000003)
+    calls = []
+    product = g.multiply
+
+    def counting(a, b):
+        calls.append(None)
+        if len(calls) > 100:
+            raise AssertionError("the unipotent powers were walked")
+        return product(a, b)
+
+    monkeypatch.setattr(g, "multiply", counting)
+    u = g.parse_element("[[1,1],[0,1]]")
+    assert g.prime_power_classes(u) == {("u", 0), ("u", 1)}
+    assert calls == []
 
 
 # -- verification -------------------------------------------------------------------
