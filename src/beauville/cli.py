@@ -26,12 +26,10 @@ import os
 import sys
 import time
 
-from .counting import (ENUMERATION_CAP, TABLE_CAP, CharacterTable,
-                       ClassPartition, TableInvalid, character_table,
-                       frobenius_count_brute, frobenius_count_character,
-                       witten_zeta)
+from .counting import (TABLE_CAP, CharacterTable, TableInvalid, character_table,
+                       frobenius_count_brute, frobenius_count_character, witten_zeta)
 from .fields import FieldError
-from .groups import CapExceeded, Group, GroupError, parse_group
+from .groups import ENUMERATION_CAP, CapExceeded, Group, GroupError, parse_group
 from .probability import estimate_beauville_probability, estimate_component_stats
 from .structures import (DEFAULT_SEED, PAIR_CAP, SearchInconclusive,
                          Unrealizable, classify_triangle,
@@ -55,14 +53,11 @@ def _table_path(descriptor: str) -> str:
     return os.path.join(cache_dir(), f"{name}.v{TABLE_FORMAT}.json")
 
 
-def _load_or_compute_table(source, cap: int, save: bool = True):
-    """(table, cache file holding it or None) for G, the group ``source`` or
-    that of the partition ``source`` (which a miss reuses); a missing,
-    unreadable or invalid file, or one holding another group's table, is a
-    miss (all but missing ones with a warning), recomputed and, with
-    ``save``, replaced atomically.  A cache that cannot be written is
-    skipped with a warning."""
-    G = source.group if isinstance(source, ClassPartition) else source
+def _load_or_compute_table(G: Group, cap: int, save: bool = True):
+    """(table, cache file holding it or None) for G.  A missing, unreadable
+    or invalid file, or one holding another group's table, is a miss (warned
+    of unless missing), recomputed and, with ``save``, replaced atomically;
+    a cache that cannot be written is skipped with a warning."""
     path = _table_path(G.descriptor())
     try:
         with open(path, encoding="utf-8") as fh:
@@ -78,7 +73,7 @@ def _load_or_compute_table(source, cap: int, save: bool = True):
     except (OSError, ValueError, KeyError, TypeError, TableInvalid) as exc:
         print(f"warning: recomputing the character table, cache file {path} "
               f"is unusable: {type(exc).__name__}: {exc}", file=sys.stderr)
-    table = character_table(source, cap=cap)
+    table = character_table(G, cap=cap)
     if not save:
         return table, None
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -140,18 +135,22 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="append the JSON record to this JSONL file")
     common.add_argument("--no-timing", action="store_true",
                         help="omit elapsed-time fields (byte-identical reruns)")
+    group = argparse.ArgumentParser(add_help=False)  # the commands that act on a group
+    group.add_argument("--group", required=True)
+    sampling = argparse.ArgumentParser(add_help=False, parents=[common, group])
+    sampling.add_argument("--samples", type=_int_at_least(1), required=True)
+    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sampling.add_argument("--workers", type=_int_at_least(1), default=1)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, group],
                        help="check the three conditions for a quadruple")
-    p.add_argument("--group", required=True)
     p.add_argument("--quad", required=True, help="x1;y1;x2;y2")
     p.add_argument("--no-fastpath", action="store_true",
                    help="always compute Sigma sets, skip the coprime shortcut")
 
-    p = sub.add_parser("search", parents=[common],
+    p = sub.add_parser("search", parents=[common, group],
                        help="find a structure or certify nonexistence")
-    p.add_argument("--group", required=True)
     p.add_argument("--strategy", default="auto",
                    choices=("auto", "exhaustive", "macbeath", "random"))
     p.add_argument("--type1", help="target type r,s,t for the first triple")
@@ -160,10 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attempts", type=_int_at_least(1), default=200_000)
     p.add_argument("--cap-pairs", type=_int_at_least(0), default=PAIR_CAP)
 
-    p = sub.add_parser("triple", parents=[common],
+    p = sub.add_parser("triple", parents=[common, group],
                        help="find a generating triple of exact orders, or "
                             "solve a psl2 trace triple directly")
-    p.add_argument("--group", required=True)
     p.add_argument("--r", type=_int_at_least(2))
     p.add_argument("--s", type=_int_at_least(2))
     p.add_argument("--t", type=_int_at_least(2))
@@ -173,34 +171,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--attempts", type=_int_at_least(1), default=20_000)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[common, group],
                        help="Dickson class of the subgroup generated by a pair")
-    p.add_argument("--group", required=True)
     p.add_argument("--pair", required=True, help="x;y")
 
-    p = sub.add_parser("estimate", parents=[common],
+    p = sub.add_parser("estimate", parents=[sampling],
                        help="Monte Carlo estimate of the Beauville probability")
-    p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--no-components", action="store_true")
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="split/non-split/generation component fractions")
-    p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    sub.add_parser("stats", parents=[sampling],
+                   help="split/non-split/generation component fractions")
 
-    p = sub.add_parser("classes", parents=[common],
+    p = sub.add_parser("classes", parents=[common, group],
                        help="list the conjugacy classes")
-    p.add_argument("--group", required=True)
     p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
 
-    p = sub.add_parser("frobenius", parents=[common],
+    p = sub.add_parser("frobenius", parents=[common, group],
                        help="count solutions of x*y*z = 1 in three classes")
-    p.add_argument("--group", required=True)
     p.add_argument("--i", type=int, required=True, help="index of class X")
     p.add_argument("--j", type=int, required=True, help="index of class Y")
     p.add_argument("--k", type=int, required=True, help="index of class Z")
@@ -208,16 +195,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
     p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
-    p = sub.add_parser("chartable", parents=[common],
+    p = sub.add_parser("chartable", parents=[common, group],
                        help="compute (and optionally persist) a character table")
-    p.add_argument("--group", required=True)
     p.add_argument("--save", action="store_true",
                    help="persist under $BEAUVILLE_CACHE_DIR")
     p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
-    p = sub.add_parser("zeta", parents=[common],
+    p = sub.add_parser("zeta", parents=[common, group],
                        help="Witten zeta: sum of degree**(-s) over Irr(G)")
-    p.add_argument("--group", required=True)
     p.add_argument("--s", type=_positive_float, required=True)
     p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
 
@@ -322,7 +307,7 @@ def _cmd_stats(args, G):
 
 
 def _cmd_classes(args, G):
-    partition = ClassPartition(G, cap=args.cap_enumeration)
+    partition = G.classes(args.cap_enumeration)
     return {"group": G.descriptor(), "count": len(partition),
             "classes": [
                 {"index": c.index, "fingerprint": c.label(), "size": c.size,
@@ -332,7 +317,7 @@ def _cmd_classes(args, G):
 
 
 def _cmd_frobenius(args, G):
-    partition = ClassPartition(G, cap=args.cap_enumeration)
+    partition = G.classes(args.cap_enumeration)
     k = len(partition)
     for idx in (args.i, args.j, args.k):
         if not 0 <= idx < k:
@@ -340,7 +325,7 @@ def _cmd_frobenius(args, G):
     if args.method == "brute":
         count = frobenius_count_brute(partition, args.i, args.j, args.k)
     else:
-        table, _ = _load_or_compute_table(partition, args.cap_table)
+        table, _ = _load_or_compute_table(G, args.cap_table)
         count = frobenius_count_character(table, args.i, args.j, args.k)
     return {"group": G.descriptor(), "method": args.method, "count": count,
             "classes": [partition.classes[i].label()
@@ -348,11 +333,8 @@ def _cmd_frobenius(args, G):
 
 
 def _cmd_chartable(args, G):
-    if args.save:
-        table, saved = _load_or_compute_table(G, args.cap_table)
-    else:
-        table = character_table(G, cap=args.cap_table)
-        saved = None
+    table, saved = (_load_or_compute_table(G, args.cap_table) if args.save
+                    else (character_table(G, cap=args.cap_table), None))
     return {"group": G.descriptor(), "degrees": table.degrees,
             "classes": len(table.class_labels),
             "tolerance": table.tolerance,

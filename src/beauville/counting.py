@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CapExceeded, Group
+from .groups import ENUMERATION_CAP, CapExceeded, Group
 
 VALUE_TOLERANCE = 1e-8
 INTEGER_TOLERANCE = 1e-6
 
-ENUMERATION_CAP = 1_000_000
 TABLE_CAP = 10_000
 CLASS_CAP = 60
 TABLE_SEED = 7  # seeds the random class-matrix combination coefficients
@@ -59,16 +58,19 @@ class ClassPartition:
 
     Classes are ordered by (element order, size, fingerprint label), so the
     identity class is always first and the ordering is reproducible.
-    ``members``, the fingerprint grouping of an enumeration already made,
-    spares a new one.
+    ``elements`` is the enumeration order; the build is refused as soon as
+    it meets a class beyond ``max_classes``.
     """
 
-    def __init__(self, group: Group, cap: int = ENUMERATION_CAP, members=None):
+    def __init__(self, group: Group, cap: int = ENUMERATION_CAP, max_classes=None):
         self.group = group
-        if members is None:
-            members = {}
-            for m in group.elements(cap):
-                members.setdefault(group.fingerprint(m), []).append(m)
+        self.elements = []
+        members: dict = {}
+        for m in group.elements(cap):
+            self.elements.append(m)
+            members.setdefault(group.fingerprint(m), []).append(m)
+            if max_classes is not None and len(members) > max_classes:
+                raise CapExceeded(f"{group.descriptor()} has more than {max_classes} classes")
         keyed = sorted(
             members.items(),
             key=lambda kv: (group.order_of(kv[1][0]), len(kv[1]), repr(kv[0])))
@@ -91,7 +93,7 @@ class ClassPartition:
 
 
 def conjugacy_classes(group: Group, cap: int = ENUMERATION_CAP) -> ClassPartition:
-    return ClassPartition(group, cap)
+    return group.classes(cap)
 
 
 def frobenius_count_brute(partition: ClassPartition, i: int, j: int, k: int) -> int:
@@ -103,10 +105,8 @@ def frobenius_count_brute(partition: ClassPartition, i: int, j: int, k: int) -> 
     G = partition.group
     x = partition.classes[i].representative
     target = partition.classes[k].fingerprint
-    hits = 0
-    for y in partition.members(j):
-        if G.fingerprint(G.inverse(G.multiply(x, y))) == target:
-            hits += 1
+    hits = sum(G.fingerprint(G.inverse(G.multiply(x, y))) == target
+               for y in partition.members(j))
     return partition.classes[i].size * hits
 
 
@@ -221,7 +221,7 @@ def _central_characters(M: np.ndarray, id_idx: int):
     return (eigvecs / eigvecs[id_idx, :]).T
 
 
-def character_table(group_or_partition, cap: int = TABLE_CAP) -> CharacterTable:
+def character_table(group, cap: int = TABLE_CAP) -> CharacterTable:
     """Complex character table via simultaneous diagonalization of the
     class matrices, built lazily.
 
@@ -235,21 +235,18 @@ def character_table(group_or_partition, cap: int = TABLE_CAP) -> CharacterTable:
     usually suffice (Dixon, Numer. Math. 10, 1967).  If all k do not, fresh
     coefficients over all k matrices are drawn up to 24 times.  Degrees are
     recovered from the self-orthogonality relation and must round to
-    integers with sum of squares |G|.  ``cap`` bounds |G| also when a
-    class partition is given.
+    integers with sum of squares |G|.  A partition stands for its group.
     """
-    partition = group_or_partition
-    group = partition.group if isinstance(partition, ClassPartition) else partition
+    group = getattr(group, "group", group)  # a ClassPartition's group
     if group.order > cap:
         raise CapExceeded(f"character table needs |G| = {group.order} <= {cap}",
                           required=group.order, cap=cap)
-    if partition is group:
-        partition = ClassPartition(group, cap)
+    partition = group.classes(cap)
     k = len(partition)
     if k > CLASS_CAP:
         raise CapExceeded(f"{k} classes exceed the class cap {CLASS_CAP}",
                           required=k, cap=CLASS_CAP)
-    n = partition.group.order
+    n = group.order
     sizes = np.array([c.size for c in partition.classes], dtype=float)
     id_idx = next(i for i, c in enumerate(partition.classes)
                   if c.element_order == 1)
@@ -293,7 +290,7 @@ def character_table(group_or_partition, cap: int = TABLE_CAP) -> CharacterTable:
     ordered = [trivial] + rest
 
     table = CharacterTable(
-        group=partition.group.descriptor(),
+        group=group.descriptor(),
         class_labels=[c.label() for c in partition.classes],
         class_sizes=[c.size for c in partition.classes],
         class_orders=[c.element_order for c in partition.classes],

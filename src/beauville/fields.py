@@ -168,22 +168,24 @@ class GF:
     """
 
     def __init__(self, p: int, e: int = 1):
-        if not is_prime(p):
+        # refuse by size before forming p**e, testing p or seeking a modulus
+        if p < 2:
             raise FieldError(f"{p} is not prime")
         if e < 1:
             raise FieldError("exponent must be >= 1")
-        q = p**e
-        if q >= 1 << 63:
+        if p >= 1 << 63 or e >= 63 or p**e >= 1 << 63:
             raise FieldError("q = p**e exceeds the supported 64-bit magnitude")
+        q = p**e
+        if e > 1 and q > _TABLE_CAP:
+            raise FieldError("extension fields above 2**16 elements are not supported")
+        if not is_prime(p):
+            raise FieldError(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = q
         self._divisors = [d for d in range(1, e + 1) if e % d == 0]  # subfield degrees
         self.modulus = find_irreducible(p, e)
         if e > 1:
-            if q > _TABLE_CAP:
-                raise FieldError(
-                    "extension fields above 2**16 elements are not supported")
             self._build_tables()
         self.two = self.of_int(2)
         self.minus_one = self.neg(1)

@@ -10,6 +10,7 @@ hashable element payload:
 * ``prime_power_classes(x)`` -- classes of x's prime-order powers, memoized
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
+* ``classes(cap, max_classes)`` -- the conjugacy-class partition, kept
 * ``random_element(rng)`` -- exactly uniform, rng owned by the caller
 * ``parse_element`` / ``format_element`` -- the CLI text encoding
 
@@ -25,6 +26,8 @@ from functools import cached_property
 from itertools import repeat
 
 from .numutil import prime_factors
+
+ENUMERATION_CAP = 1_000_000
 
 
 class GroupError(ValueError):
@@ -50,6 +53,7 @@ class Group:
     kind = "?"
     order: int
     _sigma_memo = cached_property(lambda self: {})  # made on first use
+    _partition = None  # set by classes()
 
     # -- required surface ---------------------------------------------------
 
@@ -144,13 +148,22 @@ class Group:
                 seen |= orbit
                 yield y, len(orbit)
 
-    def elements(self, limit: int = 1_000_000):
+    def elements(self, limit: int = ENUMERATION_CAP):
         """Enumerate the whole group, refusing when |G| exceeds the cap."""
         if self.order > limit:
             raise CapExceeded(
                 f"group order {self.order} exceeds enumeration cap {limit}",
                 required=self.order, cap=limit)
         return self.iter_elements()
+
+    def classes(self, cap: int = ENUMERATION_CAP, max_classes: int | None = None):
+        """The ``ClassPartition`` of G, built once and kept on the handle; a
+        call that a first build would refuse rebuilds it, and so refuses."""
+        if (self._partition is None or self.order > cap
+                or max_classes is not None and len(self._partition) > max_classes):
+            from .counting import ClassPartition
+            self._partition = ClassPartition(self, cap, max_classes)
+        return self._partition
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.descriptor()} order={self.order}>"
@@ -240,7 +253,7 @@ class AbelianSquare(Group):
         return f"({a[0]},{a[1]})"
 
 
-def closure(group: Group, gens, cap: int = 1_000_000, stop_above: int | None = None):
+def closure(group: Group, gens, cap: int = ENUMERATION_CAP, stop_above: int | None = None):
     """BFS multiplicative closure of the generators.
 
     Returns the set of elements generated.  When ``stop_above`` is given and

@@ -6,19 +6,23 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_PROOF_BOUND = 3317044064679887385961981  # psi_13, see is_prime
+
 
 def is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41, exact below PRIME_PROOF_BOUND, the least
+    strong pseudoprime to them all (Sorenson and Webster, Math. Comp. 2017)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _BASES:
         if n % p == 0:
             return n == p
-    # deterministic Miller-Rabin, valid far beyond 2**64
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -506,7 +506,7 @@ def order_partition(n: int, k: int, par: int) -> tuple[int, ...] | None:
     """A multiset of cycle lengths > 1 with lcm exactly k, total at most n,
     and total parity ``par`` (0 even, 1 odd); None when no permutation of
     order k and that parity exists on n points."""
-    divs = [d for d in range(2, k + 1) if k % d == 0]
+    divs = [d for d in range(2, min(k, n) + 1) if k % d == 0]  # a cycle has <= n points
 
     best: list[tuple[int, ...] | None] = [None]
 

@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice, product
 
-from .counting import ClassPartition
-from .groups import CapExceeded, Group, GroupError
-from .numutil import is_prime
+from .groups import ENUMERATION_CAP, CapExceeded, Group, GroupError
+from .numutil import PRIME_PROOF_BOUND, is_prime
 from .perms import BSGS, order_partition, permutation_of_shape
 
 DEFAULT_SEED = 1729
@@ -86,6 +85,8 @@ def classify_triangle(r: int, s: int, t: int) -> TriangleType:
 def is_hurwitz_psl2(p: int, e: int) -> bool:
     """Whether PSL2(p**e) is a quotient of the (2,3,7) triangle group:
     e = 1 with p = 0, +-1 mod 7, or e = 3 with p = +-2, +-3 mod 7."""
+    if p >= PRIME_PROOF_BOUND:
+        raise GroupError(f"{p} cannot be certified prime (only below {PRIME_PROOF_BOUND})")
     if not is_prime(p):
         raise GroupError(f"{p} is not prime")
     if e < 1:
@@ -436,23 +437,22 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     With ``targets``, Sigma is computed only for pairs whose sorted type is
     one of the two targets.
     """
-    members: dict = {}  # refuse once (classes seen - 1) * |G| pairs exceed the cap
-    elements = []
-    for m in G.elements():
-        elements.append(m)
-        members.setdefault(G.fingerprint(m), []).append(m)
-        required = (len(members) - 1) * G.order
-        if required > pair_cap:
-            raise CapExceeded(
-                f"pair census needs at least {required} pairs, cap is {pair_cap}",
-                required=required, cap=pair_cap)
-    reps = ClassPartition(G, members=members).classes[1:]  # identity class first
+    max_classes = pair_cap // G.order + 1  # (k - 1) * |G| <= pair_cap iff k <= this
+    try:
+        partition = G.classes(max_classes=max_classes)
+    except CapExceeded:
+        if G.order > ENUMERATION_CAP:
+            raise
+        required = max_classes * G.order
+        raise CapExceeded(f"pair census needs at least {required} pairs, cap is {pair_cap}",
+                          required=required, cap=pair_cap) from None
+    reps = partition.classes[1:]  # identity class first
     weights: dict = {}
     examples: dict = {}
     gen_pairs = tested = 0
     for cls in reps:
         x = cls.representative
-        for y, size in G.centralizer_orbits(x, elements):
+        for y, size in G.centralizer_orbits(x, partition.elements):
             tested += 1
             gen, orders = G.read_pair(x, y)
             if not gen:
@@ -464,7 +464,7 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
             sig = sigma_prime_fingerprints(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size * size
             examples.setdefault(sig, {}).setdefault(tau, (x, y))
-    return PairCensus(weights, examples, required, gen_pairs, len(reps), tested)
+    return PairCensus(weights, examples, len(reps) * G.order, gen_pairs, len(reps), tested)
 
 
 def _exhaustive_search(G, targets, pair_cap, t0):

@@ -47,6 +47,35 @@ def test_hurwitz_exit_codes(capsys):
     assert code == 1 and doc["result"]["hurwitz"] is False
 
 
+@pytest.mark.parametrize("e", [1, 3])
+def test_hurwitz_refuses_a_composite_that_passes_bases_2_to_37(capsys, e):
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to 2..37
+    code = run(["hurwitz", "--p", "318665857834031151167461", "--e", str(e)])
+    assert code == 2 and "is not prime" in capsys.readouterr().err
+
+
+def test_hurwitz_refuses_a_p_whose_primality_cannot_be_certified(capsys):
+    # 2**61 - 1 is prime and 2**61 = 2**(3*20 + 1) = 2 mod 7, so p = 1 mod 7
+    code, doc = _run_json(capsys, ["hurwitz", "--p", str(2**61 - 1), "--e", "1"])
+    assert code == 0 and doc["result"]["hurwitz"] is True
+    code = run(["hurwitz", "--p", "3317044064679887385961981", "--e", "1"])
+    assert code == 2 and "cannot be certified prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["alt:6", "sym:6"])
+def test_triple_with_an_order_beyond_every_cycle_length_is_unrealizable(capsys, group):
+    code, doc = _run_json(capsys, ["triple", "--group", group, "--r", "2", "--s", "3",
+                                   "--t", "100000000000"])
+    assert code == 1 and doc["result"]["unrealizable"] is True
+
+
+@pytest.mark.parametrize("group", ["psl2:2^100000000000", f"psl2:{2**64 + 13}",
+                                   "psl2:3^39", "psl2:1000^2"])
+def test_oversized_field_exits_2(capsys, group):
+    code = run(["classes", "--group", group])
+    assert code == 2 and capsys.readouterr().err.startswith("error: bad psl2 field")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify"])  # missing required args
@@ -601,6 +630,19 @@ PINNED_DIGESTS = [
      "810dc85742cefcd7cbac609d258b8bc0924b1d8f6df997580d9229a17279dcda"),
     (["verify", "--group", "ab:5", "--quad", "(1,0);(0,1);(1,2);(2,1)", "--format", "tsv"],
      "3f3a6bead2871b578024714e6b79de0027e9e86dbb9fc6a96e65979a6f7a4e92"),
+    # the class partition kept on the handle: class listings and both
+    # Frobenius methods (alt:6 exhaustive search and the typed psl2:7
+    # search above read it through the pair census)
+    (["classes", "--group", "alt:6"],
+     "c58a2291f60b34a9dff52a84f03040ee052abfd975076ea5e3450fe455f7a393"),
+    (["classes", "--group", "psl2:2^5"],
+     "d8ec6b88af94b5155fe21ba749058f7d38d35f50161b60a1b257f83123230e59"),
+    (["frobenius", "--group", "psl2:17", "--i", "1", "--j", "2", "--k", "2",
+      "--method", "brute"],
+     "46ad2c4851052eb5f1ccac4baf135b69bf0d320bda2e1ab50e5cfb5f6c6f8d08"),
+    (["frobenius", "--group", "psl2:17", "--i", "1", "--j", "2", "--k", "2",
+      "--method", "character"],
+     "bfefe7fac844a4197cd5a68d1aaab390c6fc601384d48dd40e3bfc5292509416"),
 ]
 
 

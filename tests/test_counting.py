@@ -8,6 +8,9 @@ from beauville.counting import (VALUE_TOLERANCE, CharacterTable, TableInvalid,
                                 frobenius_count_brute,
                                 frobenius_count_character, witten_zeta)
 
+from beauville.probability import exact_probability_exhaustive
+from beauville.structures import pair_census, search_structure
+
 from _oracles import character_rows_all_matrices, frobenius_table_brute
 
 ORACLE_GROUPS = ["alt:5", "alt:6", "psl2:7", "psl2:2^3", "ab:5"]
@@ -40,6 +43,43 @@ def test_class_ordering_deterministic():
     assert [c.fingerprint for c in p1.classes] == [c.fingerprint for c in p2.classes]
     orders = [(c.element_order, c.size, c.label()) for c in p1.classes]
     assert orders == sorted(orders)
+
+
+def test_one_class_enumeration_per_handle():
+    # the census (search and exact P(G)), the class listing and the
+    # character table all read the partition kept on the handle
+    g = AlternatingGroup(6)
+    calls = 0
+    iter_elements = g.iter_elements
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return iter_elements()
+
+    g.iter_elements = counted
+    assert search_structure(g, "exhaustive").found
+    assert len(conjugacy_classes(g)) == 7
+    assert len(character_table(g).degrees) == 7
+    assert exact_probability_exhaustive(g) > 0
+    assert calls == 1
+
+
+def test_kept_partition_still_refuses_smaller_caps():
+    g = AlternatingGroup(6)
+    kept = g.classes()
+    assert conjugacy_classes(g) is kept and pair_census(g).representatives == 6
+    with pytest.raises(CapExceeded, match="exceeds enumeration cap 359") as exc:
+        conjugacy_classes(g, 359)
+    assert exc.value.required == 360 and exc.value.cap == 359
+    with pytest.raises(CapExceeded, match="more than 6 classes"):
+        g.classes(max_classes=6)
+    # 6 non-identity classes need 6 * 360 pairs; a census that refuses
+    # meets class 7 of 7, so it reports them all
+    with pytest.raises(CapExceeded, match="needs at least 2160 pairs, cap is 2159"):
+        pair_census(g, pair_cap=2159)
+    assert pair_census(g, pair_cap=2160).pairs_checked == 2160
+    assert g.classes() is kept
 
 
 def test_class_cap():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beauville.fields import (GF, FieldError, ZeroDivisionInField,
                               find_irreducible, gf, parse_field_descriptor)
-from beauville.numutil import is_prime
+from beauville.numutil import PRIME_PROOF_BOUND, is_prime
 
 TEST_SPECS = [(7, 1), (11, 1), (101, 1), (2, 2), (2, 3), (2, 7),
               (3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (11, 2)]
@@ -35,6 +35,43 @@ def test_rejects_non_prime():
         find_irreducible(6, 2)
     with pytest.raises(FieldError):
         GF(9)
+
+
+def test_is_prime_matches_a_sieve_below_10_5():
+    n = 10**5
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(range(i * i, n, i))
+    assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_is_prime_rejects_the_least_strong_pseudoprime_to_bases_2_to_37():
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert not is_prime(psi_12)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    # the bound is tight: psi_13 = 1287836182261 * 2575672364521 passes
+    assert PRIME_PROOF_BOUND == 1287836182261 * 2575672364521
+    assert is_prime(PRIME_PROOF_BOUND)
+
+
+@pytest.mark.parametrize("p,e,message", [
+    (2, 10**11, "64-bit"),       # p**e would be a 12.5 GB integer
+    (2**64 + 13, 1, "64-bit"),   # p is not tested for primality
+    (10**100 + 1, 1, "64-bit"),
+    (3, 39, r"2\*\*16"),          # q < 2**63, but no table is built
+    (1000, 2, r"2\*\*16"),
+], ids=["2^1e11", "2^64+13", "10^100+1", "3^39", "1000^2"])
+def test_field_size_is_refused_before_primality_and_modulus(monkeypatch, p, e, message):
+    def refuse(*args):
+        raise AssertionError("work done before the size check")
+
+    monkeypatch.setattr("beauville.fields.is_prime", refuse)
+    monkeypatch.setattr("beauville.fields.find_irreducible", refuse)
+    with pytest.raises(FieldError, match=message):
+        GF(p, e)
 
 
 def test_arith_examples():

@@ -363,6 +363,8 @@ def test_even_order_partition_exactness():
     assert order_partition(6, 4, 0) is not None   # (4,2)
     assert order_partition(5, 1, 0) == () and order_partition(5, 1, 1) is None
     assert order_partition(5, 4, 1) == (4,)
+    # divisors of k above n never appear, so a huge k costs nothing
+    assert order_partition(6, 10**11, 0) is None
     # cross-check against a brute scan of element orders
     for n in (5, 6, 7):
         g = AlternatingGroup(n)
