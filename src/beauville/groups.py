@@ -54,6 +54,7 @@ class Group:
     order: int
     _sigma_memo = cached_property(lambda self: {})  # made on first use
     _partition = None  # set by classes()
+    _census = None  # set by structures.pair_census
 
     # -- required surface ---------------------------------------------------
 

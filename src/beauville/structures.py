@@ -379,7 +379,7 @@ def search_structure(G: Group, strategy: str = "auto",
         if G.kind == "psl2":
             try:
                 return _macbeath_search(G, targets, t0)
-            except (SearchInconclusive, Unrealizable):
+            except SearchInconclusive:
                 return _random_search(G, targets, seed, max_attempts, t0)
         if G.kind == "abelian" and G.order ** 2 <= pair_cap:
             return _exhaustive_search(G, targets, pair_cap, t0)
@@ -408,8 +408,8 @@ class PairCensus:
     """Achievable Sigma sets of the class-reduced generating pairs of G.
 
     ``weights`` maps each Sigma fingerprint set to the number of generating
-    pairs (x, y) of G (of a target type, when targets are given) that reach
-    it; ``examples`` maps it to the first pair reached per sorted type.
+    pairs (x, y) of G that reach it; ``examples`` maps each (Sigma, sorted
+    type) reached to its first pair, in census order.
     With x over ``representatives`` non-identity class representatives and
     y over G, ``pairs_checked`` counts the pairs (x, y), of which
     ``generating_pairs`` generate.  ``pairs_tested`` counts the generation
@@ -423,7 +423,7 @@ class PairCensus:
     pairs_tested: int
 
 
-def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
+def pair_census(G: Group, pair_cap: int = PAIR_CAP) -> PairCensus:
     """Enumerate generating pairs with x over non-identity class
     representatives and y over one representative per C_G(x)-orbit.
 
@@ -434,8 +434,8 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
     those of a scan of every y in G order: if y is the first y reaching some
     (Sigma, type), the first member of its orbit reaches it too, so that
     member is y; ``weights``, ``examples`` and their insertion orders agree.
-    With ``targets``, Sigma is computed only for pairs whose sorted type is
-    one of the two targets.
+    The census is kept on the handle; a later call still refuses a smaller
+    ``pair_cap``.
     """
     max_classes = pair_cap // G.order + 1  # (k - 1) * |G| <= pair_cap iff k <= this
     try:
@@ -446,9 +446,10 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
         required = max_classes * G.order
         raise CapExceeded(f"pair census needs at least {required} pairs, cap is {pair_cap}",
                           required=required, cap=pair_cap) from None
+    if G._census is not None:
+        return G._census
     reps = partition.classes[1:]  # identity class first
-    weights: dict = {}
-    examples: dict = {}
+    weights, examples = {}, {}
     gen_pairs = tested = 0
     for cls in reps:
         x = cls.representative
@@ -458,20 +459,21 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP, targets=None) -> PairCensus:
             if not gen:
                 continue
             gen_pairs += size
-            tau = tuple(sorted(orders))
-            if targets and tau not in targets:
-                continue
             sig = sigma_prime_fingerprints(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size * size
-            examples.setdefault(sig, {}).setdefault(tau, (x, y))
-    return PairCensus(weights, examples, len(reps) * G.order, gen_pairs, len(reps), tested)
+            examples.setdefault((sig, tuple(sorted(orders))), (x, y))
+    G._census = PairCensus(weights, examples, len(reps) * G.order, gen_pairs, len(reps), tested)
+    return G._census
 
 
 def _exhaustive_search(G, targets, pair_cap, t0):
     """A structure exists iff two achievable Sigma sets of the pair census
     are disjoint, so an empty scan is a nonexistence certificate."""
-    census = pair_census(G, pair_cap, targets)
-    achievable = census.examples
+    census = pair_census(G, pair_cap)
+    achievable: dict = {}  # sigma -> sorted type -> first pair, of the target types
+    for (sig, tau), pair in census.examples.items():
+        if not targets or tau in targets:
+            achievable.setdefault(sig, {})[tau] = pair
     sigmas = list(achievable)
     counts = {"pairs_checked": census.pairs_checked,
               "generating_pairs": census.generating_pairs,
@@ -550,7 +552,12 @@ def _macbeath_search(G, targets, t0):
         try:
             tri1 = find_generating_triple(G, *tau1)
             tri2 = find_generating_triple(G, *tau2)
-        except (Unrealizable, SearchInconclusive) as exc:
+        except Unrealizable as exc:
+            # certified absent: the sweep is exhaustive, and rotating or
+            # inverting a triple realizes every ordering of its type
+            if targets:
+                return SearchOutcome(False, None, None, {"unrealizable": str(exc)}, {
+                    "strategy": "macbeath", "elapsed": time.perf_counter() - t0})
             last_error = exc
             continue
         quad = (tri1.x, tri1.y, tri2.x, tri2.y)

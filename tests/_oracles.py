@@ -366,7 +366,7 @@ def exact_probability_all_pairs(G):
     return Fraction(total, G.order ** 4)
 
 
-def pair_census_all_y(G, targets=None):
+def pair_census_all_y(G):
     """The class-reduced pair census testing every y in G against each
     non-identity class representative x, without the centralizer-orbit
     reduction of ``pair_census``."""
@@ -381,12 +381,9 @@ def pair_census_all_y(G, targets=None):
                 continue
             gen_pairs += 1
             orders = (G.order_of(x), G.order_of(y), G.order_of(G.multiply(x, y)))
-            tau = tuple(sorted(orders))
-            if targets and tau not in targets:
-                continue
             sig = sigma_prime_fingerprints(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size
-            examples.setdefault(sig, {}).setdefault(tau, (x, y))
+            examples.setdefault((sig, tuple(sorted(orders))), (x, y))
     tested = len(reps) * G.order
     return PairCensus(weights, examples, tested, gen_pairs, len(reps), tested)
 

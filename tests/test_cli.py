@@ -643,6 +643,27 @@ PINNED_DIGESTS = [
     (["frobenius", "--group", "psl2:17", "--i", "1", "--j", "2", "--k", "2",
       "--method", "character"],
      "bfefe7fac844a4197cd5a68d1aaab390c6fc601384d48dd40e3bfc5292509416"),
+    # typed exhaustive searches, found and certified absent: the type filter
+    # reads the full census in its order, so the Sigma order, the type order
+    # within a Sigma and the quadruple found stay as they were
+    (["search", "--group", "alt:6", "--strategy", "exhaustive",
+      "--type1", "4,4,4", "--type2", "3,5,5"],
+     "39fe94bc9769233ad33659fc0f3ddaf6a8e7ab37f3ca3d4fe6cbee1466291eb3"),
+    (["search", "--group", "alt:6", "--strategy", "exhaustive",
+      "--type1", "3,4,5", "--type2", "3,5,5"],
+     "d785e9abe76efc533fe2fcc863042607faf89d9616885ebc6a30ad0c80488769"),
+    (["search", "--group", "psl2:2^3", "--strategy", "exhaustive",
+      "--type1", "9,9,9", "--type2", "7,7,7"],
+     "f4dd388ae35c8012a65ddfd9d8008b7587002da0b108072d44cecd4e85f15ec5"),
+    (["search", "--group", "psl2:2^3", "--strategy", "exhaustive",
+      "--type1", "2,3,7", "--type2", "2,7,9"],
+     "73b1d944c121b6b9da7323a24cdb5345ead3b89a0061ff19f85a5395f7fd8edd"),
+    (["search", "--group", "psl2:11", "--strategy", "exhaustive",
+      "--type1", "3,5,5", "--type2", "11,11,11"],
+     "efd45d58bd227c378e8a8adc399b5fc3c99e9d72eeb79cb2f16fb3b2f95d2b39"),
+    (["search", "--group", "psl2:11", "--strategy", "exhaustive",
+      "--type1", "5,6,11", "--type2", "5,6,11"],
+     "f535d183f5b87c246b773c55f0beaa8979364faaf7fb8b28144a24741afd37f1"),
 ]
 
 

@@ -47,38 +47,48 @@ def test_class_ordering_deterministic():
 
 def test_one_class_enumeration_per_handle():
     # the census (search and exact P(G)), the class listing and the
-    # character table all read the partition kept on the handle
+    # character table all read the partition kept on the handle, and search
+    # and exact P(G) read the one census kept beside it
     g = AlternatingGroup(6)
-    calls = 0
-    iter_elements = g.iter_elements
+    calls = reads = 0
+    iter_elements, read_pair = g.iter_elements, g.read_pair
 
     def counted():
         nonlocal calls
         calls += 1
         return iter_elements()
 
-    g.iter_elements = counted
+    def counted_read(x, y):
+        nonlocal reads
+        reads += 1
+        return read_pair(x, y)
+
+    g.iter_elements, g.read_pair = counted, counted_read
     assert search_structure(g, "exhaustive").found
     assert len(conjugacy_classes(g)) == 7
     assert len(character_table(g).degrees) == 7
     assert exact_probability_exhaustive(g) > 0
     assert calls == 1
+    assert reads == pair_census(g).pairs_tested
 
 
 def test_kept_partition_still_refuses_smaller_caps():
     g = AlternatingGroup(6)
     kept = g.classes()
-    assert conjugacy_classes(g) is kept and pair_census(g).representatives == 6
+    assert conjugacy_classes(g) is kept
     with pytest.raises(CapExceeded, match="exceeds enumeration cap 359") as exc:
         conjugacy_classes(g, 359)
     assert exc.value.required == 360 and exc.value.cap == 359
     with pytest.raises(CapExceeded, match="more than 6 classes"):
         g.classes(max_classes=6)
     # 6 non-identity classes need 6 * 360 pairs; a census that refuses
-    # meets class 7 of 7, so it reports them all
+    # meets class 7 of 7, so it reports them all, and a kept census refuses
+    # as a fresh one would
+    census = pair_census(g, pair_cap=2160)
+    assert census.pairs_checked == 2160 and census.representatives == 6
     with pytest.raises(CapExceeded, match="needs at least 2160 pairs, cap is 2159"):
         pair_census(g, pair_cap=2159)
-    assert pair_census(g, pair_cap=2160).pairs_checked == 2160
+    assert pair_census(g) is census
     assert g.classes() is kept
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from beauville.cli import _strip_timing
 from beauville.groups import AbelianSquare, GroupError, parse_group
 from beauville.perms import BSGS, AlternatingGroup, SymmetricGroup, parity
 from beauville.psl2 import PSL2
@@ -358,20 +359,30 @@ def test_pair_census_enumerates_the_group_once():
     assert census.representatives == 5  # the non-identity classes of PSL2(7)
 
 
-@pytest.mark.parametrize("descriptor,targets", [
-    *((d, None) for d in ("alt:5", "sym:5", "alt:6", "sym:6", "psl2:7", "psl2:2^3",
-                          "psl2:11", "psl2:13", "ab:5", "ab:7")),
-    ("psl2:7", ((3, 3, 4), (7, 7, 7))),
-])
-def test_pair_census_equals_the_all_y_scan(descriptor, targets):
-    fast = pair_census(parse_group(descriptor), targets=targets)
-    brute = pair_census_all_y(parse_group(descriptor), targets)
+# the ids keep the "-None" of the no-targets case of the filtered census
+@pytest.mark.parametrize("descriptor", ["alt:5", "sym:5", "alt:6", "sym:6", "psl2:7",
+                                        "psl2:2^3", "psl2:11", "psl2:13", "ab:5", "ab:7"],
+                         ids=lambda d: f"{d}-None")
+def test_pair_census_equals_the_all_y_scan(descriptor):
+    fast = pair_census(parse_group(descriptor))
+    brute = pair_census_all_y(parse_group(descriptor))
     assert fast.weights == brute.weights
-    assert list(fast.examples) == list(brute.examples)
-    for sig, by_type in fast.examples.items():
-        assert list(by_type.items()) == list(brute.examples[sig].items())
+    assert list(fast.examples.items()) == list(brute.examples.items())
     assert ((fast.generating_pairs, fast.pairs_checked, fast.representatives)
             == (brute.generating_pairs, brute.pairs_checked, brute.representatives))
+
+
+@pytest.mark.parametrize("targets", [((4, 4, 4), (3, 5, 5)), ((3, 4, 5), (3, 5, 5))])
+def test_typed_search_on_a_kept_census_matches_a_fresh_handle(targets):
+    # the type filter reads the untyped census kept on the handle
+    def result(g):
+        out = search_structure(g, "exhaustive", target_types=targets).to_dict(g)
+        return _strip_timing(out)
+
+    kept = AlternatingGroup(6)
+    untyped = search_structure(kept, "exhaustive")
+    assert untyped.found and pair_census(kept) is kept._census
+    assert result(kept) == result(AlternatingGroup(6))
 
 
 def test_pair_census_tests_one_pair_per_centralizer_orbit():
@@ -420,9 +431,19 @@ def test_auto_search_takes_the_census_for_small_abelian_squares():
 
 
 def test_macbeath_search_reports_its_last_error():
-    with pytest.raises(SearchInconclusive,
-                       match=r"exhausted 1 type pairs .*\(last: order 8 not realizable"):
-        search_structure(PSL2(7), "macbeath", target_types=((2, 3, 8), (3, 3, 4)))
+    # a target type without a generating triple is certified absent
+    out = search_structure(PSL2(7), "macbeath", target_types=((2, 3, 8), (3, 3, 4)))
+    assert not out.found and out.stats["strategy"] == "macbeath"
+    assert out.certificate["unrealizable"].startswith("order 8 not realizable")
+
+
+def test_auto_search_certifies_an_unrealizable_type_without_random_attempts():
+    out = search_structure(PSL2(7), "auto", target_types=((3, 3, 4), (3, 3, 10 ** 11)),
+                           max_attempts=20)
+    assert not out.found and out.stats["strategy"] == "macbeath"
+    assert out.certificate == {
+        "unrealizable": "order 100000000000 not realizable in psl2:7: orders are 1, "
+                        "p = 7, divisors of 3 and of 4"}
 
 
 def test_psl2_q_even_structures():
