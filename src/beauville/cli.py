@@ -476,7 +476,10 @@ def _run(args, log) -> int:
         text = _render_tsv(envelope)
     else:
         text = _render_text(envelope)
-    print(text)
+    try:  # a reader that closes stdout early (| head) ends no run in a traceback
+        print(text, flush=True)
+    except BrokenPipeError:  # fd 1 to devnull, so the interpreter's final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.out:
         log.write(json.dumps(envelope, sort_keys=True) + "\n")
     return code

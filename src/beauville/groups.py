@@ -220,6 +220,11 @@ class AbelianSquare(Group):
         det = (x[0] * y[1] - x[1] * y[0]) % self.n
         return math.gcd(det, self.n) == 1
 
+    def element_of_order(self, k):
+        if self.n % k:
+            raise GroupError(f"order {k} does not divide n = {self.n}")
+        return (self.n // k, 0)
+
     def fingerprint(self, a):
         # conjugacy classes are singletons
         return ("e", a[0], a[1])

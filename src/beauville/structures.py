@@ -111,6 +111,17 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
             | G.prime_power_classes(G.multiply(x, y)))
 
 
+def shared_classes(G: Group, first, second, fastpath: bool = True):
+    """(coprime, shared) for pairs (x, y, orders), the orders of x, y, x*y or
+    None: ``shared`` is what both Sigma sets hold, empty iff condition (iii)
+    holds.  A Sigma class has prime order dividing its triple's order
+    product, so coprime products decide it without Sigma (``coprime``)."""
+    (x1, y1, o1), (x2, y2, o2) = first, second
+    if fastpath and o1 and o2 and math.gcd(math.prod(o1), math.prod(o2)) == 1:
+        return True, frozenset()
+    return False, sigma_prime_fingerprints(G, x1, y1) & sigma_prime_fingerprints(G, x2, y2)
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -170,9 +181,9 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
     """Full three-condition check of a candidate quadruple.
 
     z_i is derived as (x_i y_i)**-1, so condition (i) holds by
-    construction.  When the products of the two types are coprime,
-    condition (iii) holds without computing Sigma; the fastpath is skipped
-    with use_fastpath=False (the equivalence is itself under test).
+    construction.  Condition (iii) is decided by ``shared_classes``; its
+    coprime shortcut is skipped with use_fastpath=False (the equivalence is
+    itself under test).
     """
     t0 = time.perf_counter()
     for m in (x1, y1, x2, y2):
@@ -187,9 +198,7 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
     if not gen2:
         witnesses["pair2_subgroup"] = _generation_witness(G, x2, y2)
 
-    fastpath = use_fastpath and math.gcd(math.prod(type1), math.prod(type2)) == 1
-    shared = frozenset() if fastpath else (sigma_prime_fingerprints(G, x1, y1)
-                                           & sigma_prime_fingerprints(G, x2, y2))
+    fastpath, shared = shared_classes(G, (x1, y1, type1), (x2, y2, type2), use_fastpath)
     if shared:
         witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
 
@@ -232,9 +241,13 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
         raise Unrealizable("generating-triple orders must all be >= 2")
     if G.kind == "psl2":
         return _psl2_triple(G, r, s, t)
+    try:  # each order must occur in G; x0 (and y0 for permutations) seed the search
+        x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
+    except GroupError as exc:
+        raise Unrealizable(str(exc)) from exc
     if G.kind == "abelian":
-        return _abelian_triple(G, r, s, t)
-    return _perm_triple(G, r, s, t, seed, max_attempts)
+        return _abelian_triple(G, x0, r, s, t)
+    return _perm_triple(G, x0, y0, r, s, t, seed, max_attempts)
 
 
 def _psl2_triple(G, r, s, t):
@@ -258,11 +271,7 @@ def _psl2_triple(G, r, s, t):
         f"every candidate trace triple generates a proper subgroup")
 
 
-def _perm_triple(G, r, s, t, seed, max_attempts):
-    try:  # t is only checked for realizability
-        x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
-    except GroupError as exc:
-        raise Unrealizable(str(exc)) from exc
+def _perm_triple(G, x0, y0, r, s, t, seed, max_attempts):
     if G.kind == "symmetric":
         x0, y0 = _symmetric_shapes(G.n, r, s, t)
     rng = random.Random(seed)
@@ -299,14 +308,9 @@ def _symmetric_shapes(n, r, s, t):
         f"these orders on {n} points have such parities")
 
 
-def _abelian_triple(G, r, s, t):
-    n = G.n
-    for k in (r, s, t):
-        if n % k != 0:
-            raise Unrealizable(f"order {k} does not divide n = {n}")
-    # x = (n/r, 0) is a complete choice up to automorphisms of Zn x Zn,
-    # which preserve all three conditions
-    x = (n // r, 0)
+def _abelian_triple(G, x, r, s, t):
+    # x = element_of_order(r) = (n/r, 0) is a complete choice up to
+    # automorphisms of Zn x Zn, which preserve all three conditions
     for y in G.iter_elements():
         if G.order_of(y) != s:
             continue
@@ -507,22 +511,28 @@ def _exhaustive_search(G, targets, pair_cap, t0):
 def _random_search(G, targets, seed, max_attempts, t0):
     rng = random.Random(seed)
     target1, target2 = targets or (None, None)
+    try:  # an order the group lacks certifies that no typed draw can match
+        for k in sorted(set(target1 + target2)) if targets else ():
+            G.element_of_order(k)
+    except GroupError as exc:
+        return SearchOutcome(False, None, None, {"unrealizable": str(exc)}, {
+            "strategy": "random", "elapsed": time.perf_counter() - t0})
 
     def draw(target):
-        """A random generating pair of the target type, or None."""
+        """A random generating (x, y, orders) of the target type, or None;
+        an untyped draw tests generation only, and its orders are None."""
         x, y = G.random_element(rng), G.random_element(rng)
         if not target:
-            return (x, y) if G.generates(x, y) else None
+            return (x, y, None) if G.generates(x, y) else None
         gen, orders = G.read_pair(x, y)
-        return (x, y) if gen and tuple(sorted(orders)) == target else None
+        return (x, y, orders) if gen and tuple(sorted(orders)) == target else None
 
     for attempts in range(1, max_attempts + 1):
-        pair1 = draw(target1)
-        pair2 = pair1 and draw(target2)
-        if not pair2 or (sigma_prime_fingerprints(G, *pair1)
-                         & sigma_prime_fingerprints(G, *pair2)):
+        first = draw(target1)
+        second = first and draw(target2)
+        if not second or shared_classes(G, first, second)[1]:
             continue
-        return _outcome(G, pair1 + pair2, t0,
+        return _outcome(G, first[:2] + second[:2], t0,
                         {"strategy": "random", "attempts": attempts, "seed": seed})
     raise SearchInconclusive(
         f"no structure found for {G.descriptor()} in {max_attempts} random "
@@ -560,13 +570,11 @@ def _macbeath_search(G, targets, t0):
                     "strategy": "macbeath", "elapsed": time.perf_counter() - t0})
             last_error = exc
             continue
-        quad = (tri1.x, tri1.y, tri2.x, tri2.y)
-        report = verify_quadruple(G, *quad)
-        if report.ok:
-            stats = {"strategy": "macbeath", "types_tried": attempts,
-                     "type1": list(tau1), "type2": list(tau2),
-                     "elapsed": time.perf_counter() - t0}
-            return SearchOutcome(True, quad, report, None, stats)
+        # both triples generate, so condition (iii) decides
+        if not shared_classes(G, (tri1.x, tri1.y, tri1.orders), (tri2.x, tri2.y, tri2.orders))[1]:
+            return _outcome(G, (tri1.x, tri1.y, tri2.x, tri2.y), t0, {
+                "strategy": "macbeath", "types_tried": attempts,
+                "type1": list(tau1), "type2": list(tau2)})
     raise SearchInconclusive(
         f"macbeath strategy exhausted {attempts} type pairs for "
         f"{G.descriptor()}" + (f" (last: {last_error})" if last_error else ""))

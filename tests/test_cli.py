@@ -3,6 +3,8 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -303,6 +305,30 @@ def test_out_appends_jsonl(capsys, tmp_path):
     lines = log.read_text().strip().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["command"] == "hurwitz" for line in lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--group", "alt:6", "--format", "json"],  # larger than a pipe buffer
+    ["hurwitz", "--p", "7", "--e", "1"],  # written only by the final flush
+], ids=lambda a: a[0])
+def test_stdout_closed_by_its_reader_ends_without_a_traceback(tmp_path, argv):
+    # as in `beauville classes ... | head -1`: the reader is gone before the
+    # answer is written, so every write to stdout fails with EPIPE
+    log = tmp_path / "runs.jsonl"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "beauville.cli", *argv, "--out", str(log)],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 0
+    assert json.loads(log.read_text())["command"] == argv[0]
 
 
 def _blocked_path(tmp_path, kind):
@@ -664,6 +690,32 @@ PINNED_DIGESTS = [
     (["search", "--group", "psl2:11", "--strategy", "exhaustive",
       "--type1", "5,6,11", "--type2", "5,6,11"],
      "f535d183f5b87c246b773c55f0beaa8979364faaf7fb8b28144a24741afd37f1"),
+    # condition (iii) decided by one test: typed random searches found with
+    # coprime type products (psl2:13, alt:6) and without (sym:6), one ended
+    # inconclusive, and verify on quadruples whose Sigma sets share classes
+    (["search", "--group", "psl2:13", "--strategy", "random",
+      "--type1", "6,6,6", "--type2", "7,7,7"],
+     "75d94d2adf7f549423c76365d303472fbc967606a6cab51722de1d6e982af979"),
+    (["search", "--group", "alt:6", "--strategy", "random", "--seed", "2",
+      "--type1", "5,5,5", "--type2", "3,3,4"],
+     "f401ffcb4a7942a9032cbd13e4ae58ea157d0d66f04b16ffa5c1d10b1cca9be0"),
+    (["search", "--group", "sym:6", "--strategy", "random",
+      "--type1", "5,6,6", "--type2", "4,6,6"],
+     "8279d989d2cabdc87e28392efd1df721cc5a0e37aff08d4387eb96cfadaaecdd"),
+    (["search", "--group", "alt:6", "--strategy", "random",
+      "--type1", "3,4,5", "--type2", "4,5,5", "--attempts", "200"],
+     "fbb43f0641fc07cc323af052c094bce2ebb8df41111ecfb7753c43a4185a69c1"),
+    (["verify", "--group", "alt:6", "--quad",
+      "(1 3 6)(2 5 4);(2 3 5 6 4);(3 6 4);(1 3 6 5)(2 4)"],
+     "93c7987ed8b3dbf93d42272a5cb3fdb66e8893827efc70306e7bef8a0df921bd"),
+    (["verify", "--group", "alt:6", "--no-fastpath", "--quad",
+      "(1 3 6)(2 5 4);(2 3 5 6 4);(3 6 4);(1 3 6 5)(2 4)"],
+     "14292637bb6ab4295eeec816542471d28163d3ad2a8e2034c754a27c11e83280"),
+    (["verify", "--group", "sym:5", "--quad", "(2 3 4 5);(1 2 4);(1 2)(3 5 4);(2 5)"],
+     "e184b4c090847887326d8d49323d5b4b2834ff2a91a9f73a06cd0edcca7b2611"),
+    (["verify", "--group", "sym:5", "--no-fastpath", "--quad",
+      "(2 3 4 5);(1 2 4);(1 2)(3 5 4);(2 5)"],
+     "b877462d1d1b9c6d732b94bc79ad0684aeb232865655b9c6f01c70758d89effd"),
 ]
 
 

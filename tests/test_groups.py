@@ -47,6 +47,16 @@ def test_abelian_order_examples():
     assert g6.order_of((2, 0)) == 3
 
 
+def test_abelian_element_of_order_exists_iff_the_order_divides_n():
+    g = AbelianSquare(12)
+    for k in range(1, 13):
+        if 12 % k:
+            with pytest.raises(GroupError, match=f"order {k} does not divide n = 12"):
+                g.element_of_order(k)
+        else:
+            assert g.order_of(g.element_of_order(k)) == k
+
+
 def test_abelian_generates_examples():
     g = AbelianSquare(5)
     assert g.generates((1, 0), (0, 1))

@@ -12,7 +12,8 @@ from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
                                   classify_triangle, find_generating_triple,
                                   is_hurwitz_psl2, pair_census, search_structure,
-                                  sigma_prime_fingerprints, verify_quadruple)
+                                  shared_classes, sigma_prime_fingerprints,
+                                  verify_quadruple)
 from beauville.structures import _coprime_type_pairs, _hyperbolic
 
 from _oracles import pair_census_all_y, sigma_full_fingerprints, sigma_prime_walk
@@ -263,7 +264,8 @@ def test_verify_invariant_under_conjugation_and_swap():
 
 
 def test_gcd_fastpath_never_disagrees_with_sigma():
-    for descriptor in ("alt:6", "psl2:13", "ab:5"):
+    # psl2:3^2 reads its unipotent classes by the even-e rule
+    for descriptor in ("alt:6", "sym:6", "psl2:13", "psl2:3^2", "psl2:2^4", "ab:5"):
         g = parse_group(descriptor)
         rng = random.Random(23)
         for _ in range(150):
@@ -271,19 +273,49 @@ def test_gcd_fastpath_never_disagrees_with_sigma():
             fast = verify_quadruple(g, x1, y1, x2, y2, use_fastpath=True)
             slow = verify_quadruple(g, x1, y1, x2, y2, use_fastpath=False)
             assert fast.ok == slow.ok and fast.cond_iii == slow.cond_iii
+            coprime, shared = shared_classes(g, (x1, y1, fast.type1), (x2, y2, fast.type2),
+                                             fastpath=False)
+            assert not coprime and (not shared) == fast.cond_iii
 
 
 def test_every_returned_structure_reverifies():
     cases = [
-        (parse_group("psl2:13"), "macbeath"),
-        (parse_group("psl2:11"), "random"),
-        (parse_group("alt:6"), "random"),
-        (parse_group("ab:5"), "exhaustive"),
+        (parse_group("psl2:13"), "macbeath", None),
+        (parse_group("psl2:11"), "random", None),
+        (parse_group("alt:6"), "random", None),
+        (parse_group("sym:6"), "random", ((5, 6, 6), (4, 6, 6))),
+        (parse_group("ab:5"), "exhaustive", None),
     ]
-    for g, strategy in cases:
-        out = search_structure(g, strategy, seed=5)
+    for g, strategy, targets in cases:
+        out = search_structure(g, strategy, target_types=targets, seed=5)
         assert out.found
         assert verify_quadruple(g, *out.quadruple).ok
+
+
+def test_typed_random_search_with_coprime_types_computes_no_sigma(monkeypatch):
+    # every draw of the target types has coprime order products, so the
+    # coprime shortcut decides condition (iii) for each of them
+    def refuse(*args):
+        raise AssertionError("Sigma computed for a coprime type pair")
+
+    monkeypatch.setattr("beauville.structures.sigma_prime_fingerprints", refuse)
+    out = search_structure(PSL2(13), "random", target_types=((6, 6, 6), (7, 7, 7)))
+    assert out.found and out.report.coprime_fastpath
+
+
+@pytest.mark.parametrize("group,strategy,targets,message", [
+    (AlternatingGroup(7), "auto", ((3, 3, 4), (3, 3, 11)),
+     "no even permutation of order 11 on 7 points"),
+    (AbelianSquare(6), "random", ((3, 3, 4), (6, 6, 6)), "order 4 does not divide n = 6"),
+], ids=["alt:7", "ab:6"])
+def test_typed_random_search_certifies_an_order_the_group_lacks(group, strategy, targets,
+                                                                message):
+    # without the check every attempt draws in vain and the search ends
+    # inconclusive; an absent element order is a certificate instead
+    out = search_structure(group, strategy, target_types=targets, max_attempts=2000)
+    assert not out.found and out.quadruple is None
+    assert out.certificate == {"unrealizable": message}
+    assert list(out.stats) == ["strategy", "elapsed"] and out.stats["strategy"] == "random"
 
 
 # -- search strategies ----------------------------------------------------------------
