@@ -23,8 +23,9 @@ report = verify_quadruple(G, x1, y1, x2, y2)
 print("types:", report.type1, report.type2)
 print("conditions:", report.cond_i, report.cond_ii, report.cond_iii)
 
-s1 = sigma_prime_fingerprints(G, x1, y1)
-s2 = sigma_prime_fingerprints(G, x2, y2)
+# Sigma sets are bit masks over the handle's class index; decode to count
+s1 = G.sigma_classes(sigma_prime_fingerprints(G, x1, y1))
+s2 = G.sigma_classes(sigma_prime_fingerprints(G, x2, y2))
 print(f"|Sigma1| = {len(s1)}, |Sigma2| = {len(s2)}, overlap = {len(s1 & s2)}")
 
 p = exact_probability_exhaustive(G)

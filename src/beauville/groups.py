@@ -7,15 +7,17 @@ hashable element payload:
 * ``generates(x, y)`` -- exact test for <x, y> == G
 * ``read_pair(x, y)`` -- (generates, (|x|, |y|, |xy|)), orders None if not read
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
-* ``prime_power_classes(x)`` -- classes of x's prime-order powers, memoized
+* ``prime_power_classes(x)`` -- bit mask of x's prime-order power classes, memoized
+* ``sigma_classes(mask)`` -- the fingerprints of a mask's classes, for display
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
 * ``classes(cap, max_classes)`` -- the conjugacy-class partition, kept
 * ``random_element(rng)`` -- exactly uniform, rng owned by the caller
 * ``parse_element`` / ``format_element`` -- the CLI text encoding
 
-Payloads from different handles must never be mixed; ``check_element``
-validates membership and is used by the verification layer.
+Payloads, and Sigma masks (bits over the handle's class index), from
+different handles must never be mixed; ``check_element`` validates
+membership and is used by the verification layer.
 
 Group handle text encodings: ``psl2:p^e``, ``alt:n``, ``sym:n``, ``ab:n``.
 """
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 
 from .numutil import prime_factors
 
@@ -53,6 +55,8 @@ class Group:
     kind = "?"
     order: int
     _sigma_memo = cached_property(lambda self: {})  # made on first use
+    # fingerprint -> bit of the Sigma masks, numbered in the order first seen
+    _sigma_bits = cached_property(lambda self: {})
     _partition = None  # set by classes()
     _census = None  # set by structures.pair_census
 
@@ -109,21 +113,35 @@ class Group:
         return result
 
     def prime_power_classes(self, a, key=None):
-        """Fingerprints of the prime-order powers of a, memoized on the handle
-        under ``key``, an invariant of a fixing them (by default its class)."""
+        """Mask of the classes of the prime-order powers of a, memoized on the
+        handle under ``key``, an invariant of a fixing them (by default its class)."""
         memo = self._sigma_memo
         key = self.fingerprint(a) if key is None else key
         sigma = memo.get(key)
         if sigma is None:
-            out = set()
+            out = {}  # the classes in the order walked, each once
             n = self.order_of(a)
             for r in prime_factors(n):
                 h = cur = self.power(a, n // r)
                 for _ in range(r - 1):
-                    out.add(self.fingerprint(cur))
+                    out[self.fingerprint(cur)] = None
                     cur = self.multiply(cur, h)
-            sigma = memo[key] = frozenset(out)
+            sigma = memo[key] = self._sigma_mask(out)
         return sigma
+
+    def _sigma_mask(self, fingerprints) -> int:
+        """The mask of these classes, a class first seen taking the next bit;
+        built once from a byte buffer (OR-ing bit by bit is quadratic)."""
+        bits = self._sigma_bits
+        ks = [bits.setdefault(fp, len(bits)) for fp in fingerprints]
+        buf = bytearray(max(ks, default=-1) // 8 + 1)
+        for k in ks:
+            buf[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(buf, "little")
+
+    def sigma_classes(self, mask: int) -> frozenset:
+        """The fingerprints of the classes in a Sigma mask of this handle."""
+        return frozenset(compress(self._sigma_bits, map(int, bin(mask)[:1:-1])))
 
     def read_pair(self, x, y):
         """(generates, (|x|, |y|, |x*y|)); the orders are None for a pair that
@@ -219,6 +237,15 @@ class AbelianSquare(Group):
         # nonvanishing of the determinant.
         det = (x[0] * y[1] - x[1] * y[0]) % self.n
         return math.gcd(det, self.n) == 1
+
+    def read_pair(self, x, y):
+        # a generating pair is a basis of Zn^2, and so are (x, xy) and (xy, y),
+        # so x, y and xy all have order n: no product is formed
+        return (True, (self.n,) * 3) if self.generates(x, y) else (False, None)
+
+    def prime_power_classes(self, a):
+        # every class is a single element, so the element keys its own memo
+        return Group.prime_power_classes(self, a, a)
 
     def element_of_order(self, k):
         if self.n % k:

@@ -178,8 +178,8 @@ class PSL2(Group):
         return "split" if self.split_order % order == 0 else "nonsplit"
 
     def prime_power_classes(self, m):
-        """Fingerprints of the prime-order powers of m, memoized by the order
-        of a semisimple m and read in closed form for a unipotent m.
+        """Mask of the classes of the prime-order powers of m, memoized by the
+        order of a semisimple m and read in closed form for a unipotent m.
 
         Proof.  For a prime r != p dividing |m|, the order-r powers of m fill
         the order-r subgroup of a cyclic torus, into which every element of
@@ -192,8 +192,8 @@ class PSL2(Group):
         if order != self.p:
             return Group.prime_power_classes(self, m, order)
         if self.d == 2 and self.e % 2:
-            return frozenset({("u", 0), ("u", 1)})
-        return frozenset({self.fingerprint(m)})
+            return self._sigma_mask((("u", 0), ("u", 1)))
+        return self._sigma_mask((self.fingerprint(m),))
 
     # -- conjugacy fingerprints ---------------------------------------------------
 

@@ -102,10 +102,11 @@ def is_hurwitz_psl2(p: int, e: int) -> bool:
 # triple types and Sigma sets
 # ---------------------------------------------------------------------------
 
-def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
-    """Conjugacy fingerprints of the prime-order elements among all powers
-    of x, y and z = (x*y)**-1.  Two triples have trivially intersecting
-    Sigma sets exactly when these sets are disjoint.  z and x*y have the
+def sigma_prime_fingerprints(G: Group, x, y) -> int:
+    """Mask, over G's class index, of the prime-order elements among all
+    powers of x, y and z = (x*y)**-1.  Two triples have trivially
+    intersecting Sigma sets exactly when these masks are disjoint; masks of
+    different handles are never mixed, as with payloads.  z and x*y have the
     same powers, so x*y stands for z."""
     return (G.prime_power_classes(x) | G.prime_power_classes(y)
             | G.prime_power_classes(G.multiply(x, y)))
@@ -113,12 +114,13 @@ def sigma_prime_fingerprints(G: Group, x, y) -> frozenset:
 
 def shared_classes(G: Group, first, second, fastpath: bool = True):
     """(coprime, shared) for pairs (x, y, orders), the orders of x, y, x*y or
-    None: ``shared`` is what both Sigma sets hold, empty iff condition (iii)
-    holds.  A Sigma class has prime order dividing its triple's order
-    product, so coprime products decide it without Sigma (``coprime``)."""
+    None: ``shared`` is the mask (over G's class index; ``G.sigma_classes``
+    decodes it) of what both Sigma sets hold, 0 iff condition (iii) holds.
+    A Sigma class has prime order dividing its triple's order product, so
+    coprime products decide it without Sigma (``coprime``)."""
     (x1, y1, o1), (x2, y2, o2) = first, second
     if fastpath and o1 and o2 and math.gcd(math.prod(o1), math.prod(o2)) == 1:
-        return True, frozenset()
+        return True, 0
     return False, sigma_prime_fingerprints(G, x1, y1) & sigma_prime_fingerprints(G, x2, y2)
 
 
@@ -200,7 +202,7 @@ def verify_quadruple(G: Group, x1, y1, x2, y2,
 
     fastpath, shared = shared_classes(G, (x1, y1, type1), (x2, y2, type2), use_fastpath)
     if shared:
-        witnesses["shared_classes"] = sorted(repr(fp) for fp in shared)
+        witnesses["shared_classes"] = sorted(repr(fp) for fp in G.sigma_classes(shared))
 
     return VerificationReport(
         group=G.descriptor(), quadruple=(x1, y1, x2, y2),
@@ -411,7 +413,7 @@ def _outcome(G, quad, t0, stats):
 class PairCensus:
     """Achievable Sigma sets of the class-reduced generating pairs of G.
 
-    ``weights`` maps each Sigma fingerprint set to the number of generating
+    ``weights`` maps each Sigma mask to the number of generating
     pairs (x, y) of G that reach it; ``examples`` maps each (Sigma, sorted
     type) reached to its first pair, in census order.
     With x over ``representatives`` non-identity class representatives and

@@ -369,7 +369,8 @@ def exact_probability_all_pairs(G):
 def pair_census_all_y(G):
     """The class-reduced pair census testing every y in G against each
     non-identity class representative x, without the centralizer-orbit
-    reduction of ``pair_census``."""
+    reduction of ``pair_census`` and with each pair's Sigma walked
+    (``sigma_prime_walk``, fingerprint sets in place of masks)."""
     elements = list(G.elements())
     reps = ClassPartition(G).classes[1:]
     weights, examples = {}, {}
@@ -381,7 +382,7 @@ def pair_census_all_y(G):
                 continue
             gen_pairs += 1
             orders = (G.order_of(x), G.order_of(y), G.order_of(G.multiply(x, y)))
-            sig = sigma_prime_fingerprints(G, x, y)
+            sig = sigma_prime_walk(G, x, y)
             weights[sig] = weights.get(sig, 0) + cls.size
             examples.setdefault((sig, tuple(sorted(orders))), (x, y))
     tested = len(reps) * G.order

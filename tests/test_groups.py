@@ -5,7 +5,7 @@ import random
 import pytest
 
 from beauville.counting import ClassPartition
-from beauville.groups import (AbelianSquare, CapExceeded, GroupError,
+from beauville.groups import (AbelianSquare, CapExceeded, Group, GroupError,
                               HandleMismatch, closure, parse_group)
 from beauville.perms import AlternatingGroup, SymmetricGroup
 from beauville.psl2 import PSL2
@@ -224,6 +224,16 @@ def test_read_pair_orders_only_generating_pairs(descriptor):
     assert seen == {False, True}
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_abelian_read_pair_matches_the_base_read(n):
+    # the closed form (n, n, n) against the base read's products and orders
+    g = AbelianSquare(n)
+    elements = list(g.elements())
+    for x in elements:
+        for y in elements:
+            assert g.read_pair(x, y) == Group.read_pair(g, x, y), (x, y)
+
+
 @pytest.mark.parametrize("descriptor", ["psl2:3^2", "alt:6", "sym:5", "ab:7"])
 def test_pickled_handle_is_a_fresh_equal_handle(descriptor):
     # pool workers receive the caller's handle this way: rebuilt from its
@@ -234,4 +244,4 @@ def test_pickled_handle_is_a_fresh_equal_handle(descriptor):
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and copy is not g and type(copy) is type(g)
     assert "_sigma_memo" in vars(g) and "_sigma_memo" not in vars(copy)
-    assert copy.prime_power_classes(x) == sigma
+    assert copy.sigma_classes(copy.prime_power_classes(x)) == g.sigma_classes(sigma)

@@ -211,8 +211,8 @@ def test_even_order_obstruction_diagnostic_logged():
         x1, y1, x2, y2 = (g.random_element(rng) for _ in range(4))
         if not (g.generates(x1, y1) and g.generates(x2, y2)):
             continue
-        s1 = sigma_prime_fingerprints(g, x1, y1)
-        s2 = sigma_prime_fingerprints(g, x2, y2)
+        s1 = g.sigma_classes(sigma_prime_fingerprints(g, x1, y1))
+        s2 = g.sigma_classes(sigma_prime_fingerprints(g, x2, y2))
         if not (s1 & s2):
             continue
         failing += 1

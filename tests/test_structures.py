@@ -7,6 +7,7 @@ import pytest
 
 from beauville.cli import _strip_timing
 from beauville.groups import AbelianSquare, GroupError, parse_group
+from beauville.numutil import prime_factors
 from beauville.perms import BSGS, AlternatingGroup, SymmetricGroup, parity
 from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
@@ -155,16 +156,16 @@ def test_perm_triple_inconclusive_when_attempts_run_out():
 
 def test_sigma_examples():
     g = AbelianSquare(5)
-    s = sigma_prime_fingerprints(g, (1, 0), (0, 1))
+    s = g.sigma_classes(sigma_prime_fingerprints(g, (1, 0), (0, 1)))
     # lines through x, y and z = -(x+y): 4 nonzero points each
     assert len(s) == 12
     a5 = AlternatingGroup(5)
     x = a5.parse_element("(1 2 3 4 5)")
-    s = sigma_prime_fingerprints(a5, x, x)
+    s = a5.sigma_classes(sigma_prime_fingerprints(a5, x, x))
     # powers of x cover both split 5-classes; z = x^-2 adds nothing new
     assert len(s) == 2
     e = a5.identity()
-    assert sigma_prime_fingerprints(a5, e, e) == frozenset()
+    assert a5.sigma_classes(sigma_prime_fingerprints(a5, e, e)) == frozenset()
 
 
 @pytest.mark.parametrize("descriptor", ["alt:5", "alt:6", "psl2:7", "psl2:2^3", "ab:5"])
@@ -190,9 +191,9 @@ def test_sigma_memo_matches_uncached_walk(descriptor):
     rng = random.Random(descriptor)
     for _ in range(200):
         x, y, c = g.random_element(rng), g.random_element(rng), g.random_element(rng)
-        assert sigma_prime_fingerprints(g, x, y) == sigma_prime_walk(g, x, y)
+        assert g.sigma_classes(sigma_prime_fingerprints(g, x, y)) == sigma_prime_walk(g, x, y)
         xc, yc = g.conjugate(c, x), g.conjugate(c, y)
-        assert sigma_prime_fingerprints(g, xc, yc) == sigma_prime_walk(g, xc, yc)
+        assert g.sigma_classes(sigma_prime_fingerprints(g, xc, yc)) == sigma_prime_walk(g, xc, yc)
 
 
 @pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:2^3", "psl2:3^2", "psl2:2^4",
@@ -206,7 +207,20 @@ def test_sigma_key_fixes_prime_power_classes_of_every_element(descriptor):
     g = parse_group(descriptor)
     e = g.identity()
     for x in g.iter_elements():
-        assert sigma_prime_fingerprints(g, x, e) == sigma_prime_walk(g, x, e)
+        assert g.sigma_classes(sigma_prime_fingerprints(g, x, e)) == sigma_prime_walk(g, x, e)
+
+
+@pytest.mark.parametrize("descriptor", ["alt:6", "psl2:13", "ab:7"])
+def test_sigma_masks_of_two_handles_decode_alike(descriptor):
+    # bits are numbered in the order each handle first sees a class, so two
+    # handles asked in opposite orders hold different masks for one pair
+    g, h = parse_group(descriptor), parse_group(descriptor)
+    rng = random.Random(descriptor)
+    pairs = [(g.random_element(rng), g.random_element(rng)) for _ in range(50)]
+    masks_g = [sigma_prime_fingerprints(g, x, y) for x, y in pairs]
+    masks_h = [sigma_prime_fingerprints(h, x, y) for x, y in reversed(pairs)][::-1]
+    assert masks_g != masks_h
+    assert list(map(g.sigma_classes, masks_g)) == list(map(h.sigma_classes, masks_h))
 
 
 def test_unipotent_prime_power_classes_need_no_walk(monkeypatch):
@@ -224,7 +238,7 @@ def test_unipotent_prime_power_classes_need_no_walk(monkeypatch):
 
     monkeypatch.setattr(g, "multiply", counting)
     u = g.parse_element("[[1,1],[0,1]]")
-    assert g.prime_power_classes(u) == {("u", 0), ("u", 1)}
+    assert g.sigma_classes(g.prime_power_classes(u)) == {("u", 0), ("u", 1)}
     assert calls == []
 
 
@@ -396,12 +410,26 @@ def test_pair_census_enumerates_the_group_once():
                                         "psl2:2^3", "psl2:11", "psl2:13", "ab:5", "ab:7"],
                          ids=lambda d: f"{d}-None")
 def test_pair_census_equals_the_all_y_scan(descriptor):
-    fast = pair_census(parse_group(descriptor))
+    # the census keys Sigma by mask, decoded here; the scan walks each
+    # pair's prime-order powers into fingerprint sets
+    g = parse_group(descriptor)
+    fast = pair_census(g)
     brute = pair_census_all_y(parse_group(descriptor))
-    assert fast.weights == brute.weights
-    assert list(fast.examples.items()) == list(brute.examples.items())
+    assert {g.sigma_classes(s): w for s, w in fast.weights.items()} == brute.weights
+    assert ([((g.sigma_classes(s), tau), pair) for (s, tau), pair in fast.examples.items()]
+            == list(brute.examples.items()))
     assert ((fast.generating_pairs, fast.pairs_checked, fast.representatives)
             == (brute.generating_pairs, brute.pairs_checked, brute.representatives))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_abelian_census_counts_the_bases_of_zn_squared(n):
+    # the generating pairs of Zn x Zn are its bases, |GL2(Z/n)| of them:
+    # n**4 times (1 - 1/p)(1 - 1/p**2) for each prime p dividing n
+    gl2 = Fraction(n ** 4)
+    for p in prime_factors(n):
+        gl2 *= (1 - Fraction(1, p)) * (1 - Fraction(1, p * p))
+    assert pair_census(AbelianSquare(n)).generating_pairs == gl2
 
 
 @pytest.mark.parametrize("targets", [((4, 4, 4), (3, 5, 5)), ((3, 4, 5), (3, 5, 5))])
