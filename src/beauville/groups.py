@@ -7,7 +7,9 @@ hashable element payload:
 * ``generates(x, y)`` -- exact test for <x, y> == G
 * ``read_pair(x, y)`` -- (generates, (|x|, |y|, |xy|)), orders None if not read
 * ``fingerprint(x)`` -- canonical conjugacy label, equal iff conjugate in G
-* ``prime_power_classes(x)`` -- bit mask of x's prime-order power classes, memoized
+* ``prime_power_classes(x)`` -- bit mask of x's prime-order power classes,
+  read by each realization in closed form from invariants of x and
+  memoized; there is no generic walk over the powers
 * ``sigma_classes(mask)`` -- the fingerprints of a mask's classes, for display
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
@@ -80,6 +82,13 @@ class Group:
     def fingerprint(self, a):
         raise NotImplementedError
 
+    def prime_power_classes(self, a) -> int:
+        raise NotImplementedError
+
+    def one_class_of_order(self, r: int) -> bool:
+        """Whether the elements of prime order r (some exist) form one class."""
+        raise NotImplementedError
+
     def iter_elements(self):
         raise NotImplementedError
 
@@ -111,23 +120,6 @@ class Group:
             base = self.multiply(base, base)
             k >>= 1
         return result
-
-    def prime_power_classes(self, a, key=None):
-        """Mask of the classes of the prime-order powers of a, memoized on the
-        handle under ``key``, an invariant of a fixing them (by default its class)."""
-        memo = self._sigma_memo
-        key = self.fingerprint(a) if key is None else key
-        sigma = memo.get(key)
-        if sigma is None:
-            out = {}  # the classes in the order walked, each once
-            n = self.order_of(a)
-            for r in prime_factors(n):
-                h = cur = self.power(a, n // r)
-                for _ in range(r - 1):
-                    out[self.fingerprint(cur)] = None
-                    cur = self.multiply(cur, h)
-            sigma = memo[key] = self._sigma_mask(out)
-        return sigma
 
     def _sigma_mask(self, fingerprints) -> int:
         """The mask of these classes, a class first seen taking the next bit;
@@ -244,8 +236,22 @@ class AbelianSquare(Group):
         return (True, (self.n,) * 3) if self.generates(x, y) else (False, None)
 
     def prime_power_classes(self, a):
-        # every class is a single element, so the element keys its own memo
-        return Group.prime_power_classes(self, a, a)
+        # classes are single elements, and the order-r powers of a are the
+        # multiples k*h of h = a**(o/r), 0 < k < r; the element keys its
+        # memo (plain loops: a comprehension would put closure cells on the
+        # memo hit, the census's hot path)
+        sigma = self._sigma_memo.get(a)
+        if sigma is None:
+            n, o, fps = self.n, self.order_of(a), []
+            for r in prime_factors(o):
+                h0, h1 = self.power(a, o // r)
+                for k in range(1, r):
+                    fps.append(("e", k * h0 % n, k * h1 % n))
+            sigma = self._sigma_memo[a] = self._sigma_mask(fps)
+        return sigma
+
+    def one_class_of_order(self, r):
+        return False  # r divides n, so r**2 - 1 >= 3 singleton classes
 
     def element_of_order(self, k):
         if self.n % k:

@@ -19,7 +19,7 @@ import math
 from functools import lru_cache
 
 from .groups import Group, GroupError, HandleMismatch, closure
-from .numutil import is_prime
+from .numutil import is_prime, prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,26 @@ class _PermGroupBase(Group):
     def order_of(self, a):
         return perm_order(a)
 
+    def prime_power_classes(self, a):
+        """Mask of the classes of the prime-order powers of a, memoized by
+        cycle type: for each prime r dividing o = |a|, the type of
+        h = a**(o/r), both A_n halves of a split type (README, "Notes on
+        exactness", has the proof)."""
+        ct = cycle_type(a)
+        sigma = self._sigma_memo.get(ct)
+        if sigma is None:
+            o, fps = math.lcm(*ct), []
+            for r in sorted({r for l in set(ct) for r in prime_factors(l)}):
+                c = sum(l for l in ct if o // r % l) // r  # the r-cycles of h
+                fp = ("c",) + (r,) * c + (1,) * (self.n - r * c)
+                split = self.kind == "alternating" and c == 1 and r % 2 and self.n <= r + 1
+                fps += [fp + ("s", 0), fp + ("s", 1)] if split else [fp]
+            sigma = self._sigma_memo[ct] = self._sigma_mask(fps)
+        return sigma
+
+    def one_class_of_order(self, r):
+        return self.n < 2 * r  # one type: a single r-cycle
+
     def parse_element(self, text):
         g = parse_cycles(text, self.n)
         self.check_element(g)
@@ -343,6 +363,11 @@ class AlternatingGroup(_PermGroupBase):
             # centralizer is generated by the odd-length cycles, hence even).
             return ("c",) + ct + ("s", _canonical_conjugator_parity(a))
         return ("c",) + ct
+
+    def one_class_of_order(self, r):
+        # r = 2: the types 2^(2j), one below n = 8; r odd: one type below
+        # n = 2r, split at n = r and r + 1
+        return self.n < 8 if r == 2 else r + 2 <= self.n < 2 * r
 
     def iter_elements(self):
         from itertools import permutations

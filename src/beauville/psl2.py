@@ -69,6 +69,7 @@ class PSL2(Group):
         self._nonsplit_factors = prime_factors(self.nonsplit_order)
         self._traces_by_order_cache = None
         self._order_by_trace: dict[int, int] = {}  # filled by _semisimple_order
+        self._prime_trace: dict[int, int] = {}  # prime r -> an order-r trace
 
     def descriptor(self):
         return f"psl2:{self.field.descriptor()}"
@@ -178,8 +179,9 @@ class PSL2(Group):
         return "split" if self.split_order % order == 0 else "nonsplit"
 
     def prime_power_classes(self, m):
-        """Mask of the classes of the prime-order powers of m, memoized by the
-        order of a semisimple m and read in closed form for a unipotent m.
+        """Mask of the classes of the prime-order powers of m: a bit ("r", r)
+        for each prime r dividing a semisimple order, memoized by the order,
+        and the unipotent classes read in closed form.
 
         Proof.  For a prime r != p dividing |m|, the order-r powers of m fill
         the order-r subgroup of a cyclic torus, into which every element of
@@ -189,11 +191,38 @@ class PSL2(Group):
         even, non-squares among them when e is odd (k**((q-1)/2) = (-1)**e).
         """
         order = self.order_of(m)
-        if order != self.p:
-            return Group.prime_power_classes(self, m, order)
-        if self.d == 2 and self.e % 2:
-            return self._sigma_mask((("u", 0), ("u", 1)))
-        return self._sigma_mask((self.fingerprint(m),))
+        if order == self.p:
+            if self.d == 2 and self.e % 2:
+                return self._sigma_mask((("u", 0), ("u", 1)))
+            return self._sigma_mask((self.fingerprint(m),))
+        sigma = self._sigma_memo.get(order)
+        if sigma is None:
+            for r in prime_factors(order):  # an order-r trace, for sigma_classes
+                self._prime_trace.setdefault(r, self.lucas_trace(order // r, self.trace(m)))
+            sigma = self._sigma_mask(("r", r) for r in prime_factors(order))
+            self._sigma_memo[order] = sigma
+        return sigma
+
+    def sigma_classes(self, mask):
+        """The fingerprints of a mask's classes.  A bit ("r", r) lists the
+        classes of order r in O(r) field ops: those of the traces +-V_k(t),
+        1 <= k <= r // 2, for the order-r trace t kept with the bit."""
+        F, out = self.field, set()
+        for key in Group.sigma_classes(self, mask):
+            if key[0] != "r":
+                out.add(key)
+                continue
+            t = v1 = self._prime_trace[key[1]]
+            v0 = F.two
+            for _ in range(key[1] // 2):
+                out.add(self.fingerprint((0, F.minus_one, 1, v1)))  # trace v1
+                v0, v1 = v1, F.sub(F.mul(t, v1), v0)
+        return frozenset(out)
+
+    def one_class_of_order(self, r):
+        # r = 2: the involutions (unipotent when p = 2); r != p: (r - 1)/2
+        # classes; r = p odd: the two unipotent classes
+        return r == 2 or r == 3 != self.p
 
     # -- conjugacy fingerprints ---------------------------------------------------
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice, product
 
 from .groups import ENUMERATION_CAP, CapExceeded, Group, GroupError
-from .numutil import PRIME_PROOF_BOUND, is_prime
+from .numutil import PRIME_PROOF_BOUND, is_prime, prime_factors
 from .perms import BSGS, order_partition, permutation_of_shape
 
 DEFAULT_SEED = 1729
@@ -513,11 +513,9 @@ def _exhaustive_search(G, targets, pair_cap, t0):
 def _random_search(G, targets, seed, max_attempts, t0):
     rng = random.Random(seed)
     target1, target2 = targets or (None, None)
-    try:  # an order the group lacks certifies that no typed draw can match
-        for k in sorted(set(target1 + target2)) if targets else ():
-            G.element_of_order(k)
-    except GroupError as exc:
-        return SearchOutcome(False, None, None, {"unrealizable": str(exc)}, {
+    reason = targets and _forced_failure(G, target1, target2)
+    if reason:
+        return SearchOutcome(False, None, None, {"unrealizable": reason}, {
             "strategy": "random", "elapsed": time.perf_counter() - t0})
 
     def draw(target):
@@ -539,6 +537,24 @@ def _random_search(G, targets, seed, max_attempts, t0):
     raise SearchInconclusive(
         f"no structure found for {G.descriptor()} in {max_attempts} random "
         f"attempts (inconclusive, not a nonexistence proof)")
+
+
+def _forced_failure(G, target1, target2):
+    """Why no quadruple of these types is a structure, or None: an order G
+    lacks, or a prime r dividing both type products with one class of order
+    r in G.  A triple whose order product r divides has an element of order
+    divisible by r, whose powers reach that class, so both Sigma sets hold it."""
+    try:
+        for k in sorted(set(target1 + target2)):
+            G.element_of_order(k)
+    except GroupError as exc:
+        return str(exc)
+    primes1, primes2 = ({r for k in tau for r in prime_factors(k)} for tau in (target1, target2))
+    for r in sorted(primes1 & primes2):
+        if G.one_class_of_order(r):
+            return (f"both type products are divisible by {r}, and {G.descriptor()} "
+                    f"has one class of elements of order {r}, which both Sigma sets hold")
+    return None
 
 
 def _macbeath_search(G, targets, t0):

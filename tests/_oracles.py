@@ -320,21 +320,25 @@ def brute_partition(G, elements=None):
     return {frozenset(c) for c in brute_conjugacy_partition(G, elements)}
 
 
+def prime_power_walk(G, g):
+    """The classes of the prime-order powers of g, walked element by element:
+    for each prime r dividing |g|, h = g**(|g|/r) and its r - 1 powers."""
+    n = G.order_of(g)
+    out = set()
+    for r in prime_factors(n) if n > 1 else ():
+        h = cur = G.power(g, n // r)
+        for _ in range(r - 1):
+            out.add(G.fingerprint(cur))
+            cur = G.multiply(cur, h)
+    return frozenset(out)
+
+
 def sigma_prime_walk(G, x, y):
     """The prime-order power classes of x, y and z = (x*y)**-1 walked
-    element by element, without the per-class memo of
+    element by element, without the closed forms and memo of
     ``sigma_prime_fingerprints``."""
     z = G.inverse(G.multiply(x, y))
-    out = set()
-    for g in (x, y, z):
-        n = G.order_of(g)
-        for r in prime_factors(n) if n > 1 else ():
-            h = G.power(g, n // r)
-            cur = h
-            for _ in range(r - 1):
-                out.add(G.fingerprint(cur))
-                cur = G.multiply(cur, h)
-    return frozenset(out)
+    return prime_power_walk(G, x) | prime_power_walk(G, y) | prime_power_walk(G, z)
 
 
 def sigma_full_fingerprints(G, x, y):

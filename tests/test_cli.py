@@ -691,8 +691,9 @@ PINNED_DIGESTS = [
       "--type1", "5,6,11", "--type2", "5,6,11"],
      "f535d183f5b87c246b773c55f0beaa8979364faaf7fb8b28144a24741afd37f1"),
     # condition (iii) decided by one test: typed random searches found with
-    # coprime type products (psl2:13, alt:6) and without (sym:6), one ended
-    # inconclusive, and verify on quadruples whose Sigma sets share classes
+    # coprime type products (psl2:13, alt:6) and without (sym:6), one whose
+    # types force a shared class (A_6 has one class of involutions), and
+    # verify on quadruples whose Sigma sets share classes
     (["search", "--group", "psl2:13", "--strategy", "random",
       "--type1", "6,6,6", "--type2", "7,7,7"],
      "75d94d2adf7f549423c76365d303472fbc967606a6cab51722de1d6e982af979"),
@@ -704,7 +705,7 @@ PINNED_DIGESTS = [
      "8279d989d2cabdc87e28392efd1df721cc5a0e37aff08d4387eb96cfadaaecdd"),
     (["search", "--group", "alt:6", "--strategy", "random",
       "--type1", "3,4,5", "--type2", "4,5,5", "--attempts", "200"],
-     "fbb43f0641fc07cc323af052c094bce2ebb8df41111ecfb7753c43a4185a69c1"),
+     "5112c0a0d004de882ed5a2fb3b98882faa22bc5134bb0f24140d85524ec64aba"),
     (["verify", "--group", "alt:6", "--quad",
       "(1 3 6)(2 5 4);(2 3 5 6 4);(3 6 4);(1 3 6 5)(2 4)"],
      "93c7987ed8b3dbf93d42272a5cb3fdb66e8893827efc70306e7bef8a0df921bd"),
@@ -716,6 +717,25 @@ PINNED_DIGESTS = [
     (["verify", "--group", "sym:5", "--no-fastpath", "--quad",
       "(2 3 4 5);(1 2 4);(1 2)(3 5 4);(2 5)"],
      "b877462d1d1b9c6d732b94bc79ad0684aeb232865655b9c6f01c70758d89effd"),
+    # Sigma in closed form: the shared_classes witness of a PSL2 prime bit
+    # (orders 2 and 139: 1 + 69 classes listed from the kept order-r trace),
+    # of both halves of the split 7-cycle class of A_7, and estimates whose
+    # Sigma sets are keyed by cycle type
+    (["verify", "--group", "psl2:10007", "--no-fastpath", "--quad",
+      "[[0,1],[10006,0]];[[3,1636],[1572,10005]];[[0,1],[10006,0]];[[1,4839],[4775,63]]"],
+     "d457534af7e8731906cfc983b030193a149a898cad1d2bdae985d7a4cb98bf3f"),
+    (["verify", "--group", "alt:7", "--no-fastpath", "--quad",
+      "(1 3 7)(2 5 4);(2 7 6 5 4);(1 5)(3 6);(1 2 7 6 5 4 3)"],
+     "b170325e83aebe187b087dfca00a6484ed54d7c158bdefd2e7b5a0d97fbe7b92"),
+    (["estimate", "--group", "alt:40", "--samples", "300"],
+     "71d6c95da0ccd98e8a71cde3face5828399009b98c68ea56d1b4fb89a291fb93"),
+    (["estimate", "--group", "sym:40", "--samples", "300"],
+     "e4e5f6fe7dfd84e40e59d3ef1d1be7b2a6c0ac1e03ea24356246eab1c249c55e"),
+    # a typed random search whose types force a shared class (A_7 has one
+    # class of order 5) answers before any draw, like the alt:6 search above
+    (["search", "--group", "alt:7", "--strategy", "random",
+      "--type1", "4,5,7", "--type2", "5,7,7"],
+     "4c13c29cedc45383b89e26d3830cfb8eabc1e1cd6cdcf0404df7fb2ce81cfe0d"),
 ]
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from beauville.cli import _strip_timing
 from beauville.groups import AbelianSquare, GroupError, parse_group
-from beauville.numutil import prime_factors
+from beauville.numutil import is_prime, prime_factors
 from beauville.perms import BSGS, AlternatingGroup, SymmetricGroup, parity
 from beauville.psl2 import PSL2
 from beauville.structures import (SearchInconclusive, Unrealizable,
@@ -17,7 +17,8 @@ from beauville.structures import (SearchInconclusive, Unrealizable,
                                   verify_quadruple)
 from beauville.structures import _coprime_type_pairs, _hyperbolic
 
-from _oracles import pair_census_all_y, sigma_full_fingerprints, sigma_prime_walk
+from _oracles import (pair_census_all_y, prime_power_walk, sigma_full_fingerprints,
+                      sigma_prime_walk)
 
 
 # -- triangle types ------------------------------------------------------------
@@ -182,8 +183,8 @@ def test_prime_order_reduction_equals_full_sigma(descriptor):
         assert prime_disjoint == full_disjoint
 
 
-@pytest.mark.parametrize("descriptor",
-                         ["psl2:101", "psl2:2^7", "psl2:3^5", "alt:8", "sym:6", "ab:25"])
+@pytest.mark.parametrize("descriptor", ["psl2:101", "psl2:2^7", "psl2:3^5", "alt:8", "sym:6",
+                                        "ab:25", "alt:40", "sym:40"])
 def test_sigma_memo_matches_uncached_walk(descriptor):
     # one warm handle: later pairs, and the conjugates of every pair, are
     # answered from classes memoized for other elements
@@ -196,18 +197,19 @@ def test_sigma_memo_matches_uncached_walk(descriptor):
         assert g.sigma_classes(sigma_prime_fingerprints(g, xc, yc)) == sigma_prime_walk(g, xc, yc)
 
 
-@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:2^3", "psl2:3^2", "psl2:2^4",
-                                        "psl2:5^2", "psl2:3^3", "psl2:7^2"])
+@pytest.mark.parametrize("descriptor", [
+    "psl2:7", "psl2:2^3", "psl2:3^2", "psl2:2^4", "psl2:5^2", "psl2:3^3", "psl2:7^2",
+    "alt:5", "alt:6", "alt:7", "sym:5", "sym:6", *(f"ab:{n}" for n in range(2, 13))])
 def test_sigma_key_fixes_prime_power_classes_of_every_element(descriptor):
-    # Fact B on one warm handle: PSL2.prime_power_classes answers a semisimple
-    # element from the memo under its order, filled by the first element of
-    # that order, and a unipotent in closed form (both classes for p and e
-    # odd, its own class otherwise), so every element is checked against its
-    # own walk
+    # the closed forms on one warm handle, each element against its own
+    # walk: PSL2 answers a semisimple element from the memo under its order
+    # (Fact B; sigma_classes expands each prime bit) and a unipotent in
+    # closed form (both classes for p and e odd, its own class otherwise);
+    # A_n / S_n answer from the memo under the cycle type, both halves of a
+    # split A_n class included; Zn x Zn lists the multiples of a**(o/r)
     g = parse_group(descriptor)
-    e = g.identity()
     for x in g.iter_elements():
-        assert g.sigma_classes(sigma_prime_fingerprints(g, x, e)) == sigma_prime_walk(g, x, e)
+        assert g.sigma_classes(g.prime_power_classes(x)) == prime_power_walk(g, x)
 
 
 @pytest.mark.parametrize("descriptor", ["alt:6", "psl2:13", "ab:7"])
@@ -240,6 +242,27 @@ def test_unipotent_prime_power_classes_need_no_walk(monkeypatch):
     u = g.parse_element("[[1,1],[0,1]]")
     assert g.sigma_classes(g.prime_power_classes(u)) == {("u", 0), ("u", 1)}
     assert calls == []
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:1000003", "alt:40"])
+def test_prime_power_classes_and_their_expansion_make_no_product(monkeypatch, descriptor):
+    # on psl2:1000003, the semisimple elements of a quadruple found by search,
+    # of orders 500001 = 3 * 166667 and 500002: the expansion lists 1 class
+    # of order 3 and 83,333 of order 166667 for the first
+    g = parse_group(descriptor)
+    if g.kind == "psl2":
+        xs = [g.parse_element(t) for t in ("[[0,1],[1000002,999994]]", "[[0,2610],[2682,9]]",
+                                           "[[0,1],[1000002,1000000]]", "[[1,115770],[115773,2]]")]
+    else:
+        rng = random.Random(descriptor)
+        xs = [g.random_element(rng) for _ in range(200)]
+
+    def refuse(a, b):
+        raise AssertionError("a group product was formed")
+
+    monkeypatch.setattr(g, "multiply", refuse)
+    sizes = [len(g.sigma_classes(g.prime_power_classes(x))) for x in xs]
+    assert all(sizes) and (g.kind != "psl2" or sizes[0] == 1 + 83333)
 
 
 # -- verification -------------------------------------------------------------------
@@ -330,6 +353,36 @@ def test_typed_random_search_certifies_an_order_the_group_lacks(group, strategy,
     assert not out.found and out.quadruple is None
     assert out.certificate == {"unrealizable": message}
     assert list(out.stats) == ["strategy", "elapsed"] and out.stats["strategy"] == "random"
+
+
+@pytest.mark.parametrize("descriptor,targets,r", [
+    ("alt:7", ((4, 5, 7), (5, 7, 7)), 5),   # one class of 5-cycles; 7 splits
+    ("alt:6", ((3, 4, 5), (4, 5, 5)), 2),   # one involution class; 5 splits
+    ("psl2:7", ((3, 3, 4), (3, 3, 4)), 2),
+    ("psl2:2^3", ((2, 7, 9), (2, 9, 9)), 2),  # the unipotent class
+    ("sym:5", ((3, 4, 5), (5, 5, 6)), 3),   # 5 is shared too; the least prime answers
+], ids=["alt:7", "alt:6", "psl2:7", "psl2:2^3", "sym:5"])
+def test_typed_random_search_certifies_a_forced_shared_class(descriptor, targets, r):
+    # r divides both type products and G has one class of order r: both Sigma
+    # sets hold it whatever is drawn, so the search answers before any draw
+    out = search_structure(parse_group(descriptor), "random", target_types=targets,
+                           max_attempts=2000)
+    assert not out.found and list(out.stats) == ["strategy", "elapsed"]
+    assert out.certificate == {"unrealizable": (
+        f"both type products are divisible by {r}, and {descriptor} has one class "
+        f"of elements of order {r}, which both Sigma sets hold")}
+
+
+@pytest.mark.parametrize("descriptor", [
+    "alt:3", "alt:4", "alt:5", "alt:6", "alt:7", "alt:8", "sym:3", "sym:4", "sym:5", "sym:6",
+    "sym:7", "psl2:2^2", "psl2:7", "psl2:2^3", "psl2:3^2", "psl2:3^3", "psl2:13", "ab:6"])
+def test_one_class_of_order_matches_the_class_partition(descriptor):
+    g = parse_group(descriptor)
+    counts = {}
+    for cls in g.classes().classes:
+        counts[cls.element_order] = counts.get(cls.element_order, 0) + 1
+    for r in filter(is_prime, counts):
+        assert g.one_class_of_order(r) == (counts[r] == 1), r
 
 
 # -- search strategies ----------------------------------------------------------------
@@ -477,9 +530,10 @@ def test_random_search_inconclusive_on_a5():
 
 def test_auto_search_falls_back_to_random_after_macbeath():
     # equal target types share their classes, so macbeath verifies nothing
-    # and the 20 random attempts that follow end inconclusive
+    # and the 20 random attempts that follow end inconclusive; order 7 has
+    # two classes in PSL2(7), so no single class certifies the share first
     with pytest.raises(SearchInconclusive, match="in 20 random attempts"):
-        search_structure(PSL2(7), "auto", target_types=((3, 3, 4), (3, 3, 4)),
+        search_structure(PSL2(7), "auto", target_types=((7, 7, 7), (7, 7, 7)),
                          max_attempts=20)
 
 
