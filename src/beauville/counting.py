@@ -184,13 +184,14 @@ def _class_matrix(partition: ClassPartition, i: int) -> np.ndarray:
     constants of the i-th class sum in the center of the group algebra,
     at a cost of |C_i| * k products."""
     G = partition.group
-    k = len(partition)
-    A = np.zeros((k, k))
+    class_of, mul = partition.element_class, G.multiply
+    reps = [c.representative for c in partition.classes]
+    counts = [[0] * len(reps) for _ in reps]
     for u in partition.members(i):
         u_inv = G.inverse(u)
-        for l, c in enumerate(partition.classes):
-            A[partition.class_of(G.multiply(u_inv, c.representative)), l] += 1
-    return A
+        for l, rep in enumerate(reps):
+            counts[class_of[mul(u_inv, rep)]][l] += 1
+    return np.array(counts, dtype=float)
 
 
 def _matrix_order(partition: ClassPartition) -> list[int]:

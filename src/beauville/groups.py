@@ -89,6 +89,13 @@ class Group:
         """Whether the elements of prime order r (some exist) form one class."""
         raise NotImplementedError
 
+    def forced_share(self, r: int) -> str | None:
+        """Why the Sigma sets of any two elements whose orders the prime r
+        divides share a class, or None: here, one class of order r."""
+        if self.one_class_of_order(r):
+            return f"{self.descriptor()} has one class of elements of order {r}"
+        return None
+
     def iter_elements(self):
         raise NotImplementedError
 

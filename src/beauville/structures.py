@@ -541,9 +541,10 @@ def _random_search(G, targets, seed, max_attempts, t0):
 
 def _forced_failure(G, target1, target2):
     """Why no quadruple of these types is a structure, or None: an order G
-    lacks, or a prime r dividing both type products with one class of order
-    r in G.  A triple whose order product r divides has an element of order
-    divisible by r, whose powers reach that class, so both Sigma sets hold it."""
+    lacks, or a prime r dividing both type products for which G forces a
+    share (``Group.forced_share``).  A triple whose order product r divides
+    has an element of order divisible by r, so both Sigma sets hold the
+    class that G forces."""
     try:
         for k in sorted(set(target1 + target2)):
             G.element_of_order(k)
@@ -551,9 +552,10 @@ def _forced_failure(G, target1, target2):
         return str(exc)
     primes1, primes2 = ({r for k in tau for r in prime_factors(k)} for tau in (target1, target2))
     for r in sorted(primes1 & primes2):
-        if G.one_class_of_order(r):
-            return (f"both type products are divisible by {r}, and {G.descriptor()} "
-                    f"has one class of elements of order {r}, which both Sigma sets hold")
+        reason = G.forced_share(r)
+        if reason:
+            return (f"both type products are divisible by {r}, and {reason}, "
+                    f"which both Sigma sets hold")
     return None
 
 

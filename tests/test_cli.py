@@ -736,6 +736,27 @@ PINNED_DIGESTS = [
     (["search", "--group", "alt:7", "--strategy", "random",
       "--type1", "4,5,7", "--type2", "5,7,7"],
      "4c13c29cedc45383b89e26d3830cfb8eabc1e1cd6cdcf0404df7fb2ce81cfe0d"),
+    # the whole-group PSL2 paths through the matrix product: a class
+    # listing, exhaustive searches over fields of even and odd
+    # characteristic, and the character formula on one class triple
+    (["classes", "--group", "psl2:3^3"],
+     "9913c313717e938a83b74cd44ae6a1bd738078315dce56da2539f3901f5c6223"),
+    (["search", "--group", "psl2:2^3", "--strategy", "exhaustive"],
+     "89a12d25f55b02f2216d780f821d01b5319bb9d6cc2e47649ccc8d0b1a6b1942"),
+    (["search", "--group", "psl2:5^2", "--strategy", "exhaustive"],
+     "31f6f40f327e2685b3bcb4f22415e207e8ff9a0424add8629abaa0436a433bb7"),
+    (["frobenius", "--group", "psl2:3^3", "--i", "2", "--j", "4", "--k", "7",
+      "--method", "character"],
+     "7fc833d55e24f2815979483b9a99246d6d6b5c10140e1cab13b3556b56db9bf4"),
+    # typed random searches whose types share a prime that forces a shared
+    # class by Fact B, with two classes of that order: r = p = 7 (e odd) and
+    # r = 7 != p = 13; both ran their whole budget and ended inconclusive
+    (["search", "--group", "psl2:7", "--strategy", "random",
+      "--type1", "7,7,7", "--type2", "7,7,7"],
+     "0c954b9ba305fb29355140ea04ae57faa63a8b91a8aa7ba7ab66523fedf246a6"),
+    (["search", "--group", "psl2:13", "--strategy", "random",
+      "--type1", "2,3,7", "--type2", "7,7,7"],
+     "7cceabe73490a68f0c8a18fc825280af35e1e860aac285d8453cfed5e5182e19"),
 ]
 
 
@@ -746,6 +767,18 @@ def test_pinned_json_output(capsys, tmp_path, monkeypatch, argv, digest):
     fmt = [] if "--format" in argv else ["--format", "json"]
     _, out = _run(capsys, argv + ["--no-timing"] + fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("group,digest", [
+    ("psl2:3^3", "3ad4748c13fba08092aa6318b4ffa4d1113c84b356d780d601b98194601c685f"),
+    ("psl2:2^3", "037a85817b047d980a9c4bd100fcf0037494e9f3c2cb7bb15597321eb357ad71"),
+])
+def test_saved_character_table_is_pinned(capsys, tmp_path, monkeypatch, group, digest):
+    """The saved payload, floats included, to the last bit."""
+    monkeypatch.setenv("BEAUVILLE_CACHE_DIR", str(tmp_path))
+    code, doc = _run_json(capsys, ["chartable", "--group", group, "--save"])
+    with open(doc["result"]["saved"], "rb") as fh:
+        assert code == 0 and hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 def test_tsv_formats(capsys):

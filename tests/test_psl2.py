@@ -419,6 +419,27 @@ def test_canonical_payloads_unique():
         g.check_element(m)
 
 
+# -- the fused product ---------------------------------------------------------
+
+@pytest.mark.parametrize("p,e", [(5, 1), (2, 2), (7, 1)])
+def test_product_matches_canon_of_mat_mul_on_every_pair(p, e):
+    g = PSL2(p, e)
+    els = list(g.elements())
+    assert all(g.multiply(m, n) == g._canon(g._mat_mul(m, n)) for m in els for n in els)
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (101, 1),
+                                 (1000003, 1), (2, 7), (3, 5), (2, 13)])
+def test_product_matches_canon_of_mat_mul_on_random_pairs(p, e):
+    # table path up to q = 64, prime path with a large p, generic path past 64
+    g, rng = PSL2(p, e), random.Random(p ** e)
+    for _ in range(3000):
+        m, n = g.random_element(rng), g.random_element(rng)
+        assert g.multiply(m, n) == g._canon(g._mat_mul(m, n)), (m, n)
+    assert ("_product_tables" in vars(g)) == (e > 1 and g.q <= 64)
+    assert "multiply" not in vars(g)  # the class function, as tracers wrap it
+
+
 TRACE_ORACLE_GROUPS = [(p, e) for p in range(2, 1025) if is_prime(p)
                        for e in range(1, 11) if 4 <= p ** e <= 1024]
 TRACE_ORACLE_GROUPS += [(10007, 1), (2, 13), (3, 7)]

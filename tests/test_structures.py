@@ -373,6 +373,45 @@ def test_typed_random_search_certifies_a_forced_shared_class(descriptor, targets
         f"of elements of order {r}, which both Sigma sets hold")}
 
 
+@pytest.mark.parametrize("descriptor,targets,r", [
+    ("psl2:7", ((7, 7, 7), (7, 7, 7)), 7),     # r = p, e odd: both unipotent classes
+    ("psl2:13", ((2, 3, 7), (7, 7, 7)), 7),    # r != p: every class of order 7
+    ("psl2:3^3", ((3, 7, 13), (3, 3, 14)), 3),  # 7 is shared too; the least prime answers
+], ids=["psl2:7", "psl2:13", "psl2:3^3"])
+def test_typed_random_search_certifies_a_share_fact_b_forces(descriptor, targets, r):
+    out = search_structure(parse_group(descriptor), "random", target_types=targets,
+                           max_attempts=2000)
+    assert not out.found and list(out.stats) == ["strategy", "elapsed"]
+    assert out.certificate == {"unrealizable": (
+        f"both type products are divisible by {r}, and the powers of every element "
+        f"of {descriptor} whose order {r} divides meet every class of order {r}, "
+        f"which both Sigma sets hold")}
+
+
+def test_typed_random_search_draws_when_p_divides_both_types_and_e_is_even():
+    # a unipotent Sigma of psl2:5^2 holds its own class only, so 5 forces no
+    # share; the exhaustive census realizes these types, and the draws find them
+    G, targets = parse_group("psl2:5^2"), ((5, 13, 13), (5, 5, 6))
+    assert G.forced_share(5) is None
+    assert search_structure(G, "exhaustive", target_types=targets).found
+    assert search_structure(G, "random", target_types=targets, max_attempts=20000).found
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:5", "psl2:7", "psl2:2^3", "psl2:3^2",
+                                        "psl2:13", "psl2:5^2", "psl2:3^3", "alt:6", "sym:5"])
+def test_forced_share_matches_the_sigma_sets_of_the_class_representatives(descriptor):
+    # a share is claimed only when every two elements whose orders r divides
+    # share a class among their prime-order powers, and on PSL2 exactly then
+    # (A_6 has two classes of 5-cycles, both in every such Sigma: unclaimed)
+    g = parse_group(descriptor)
+    reps = [c.representative for c in g.classes().classes]
+    for r in {r for x in reps for r in prime_factors(g.order_of(x))}:
+        masks = [g.prime_power_classes(x) for x in reps if g.order_of(x) % r == 0]
+        forced = all(a & b for a in masks for b in masks)
+        claimed = g.forced_share(r) is not None
+        assert claimed == forced if g.kind == "psl2" else forced or not claimed, r
+
+
 @pytest.mark.parametrize("descriptor", [
     "alt:3", "alt:4", "alt:5", "alt:6", "alt:7", "alt:8", "sym:3", "sym:4", "sym:5", "sym:6",
     "sym:7", "psl2:2^2", "psl2:7", "psl2:2^3", "psl2:3^2", "psl2:3^3", "psl2:13", "ab:6"])
@@ -529,11 +568,12 @@ def test_random_search_inconclusive_on_a5():
 
 
 def test_auto_search_falls_back_to_random_after_macbeath():
-    # equal target types share their classes, so macbeath verifies nothing
-    # and the 20 random attempts that follow end inconclusive; order 7 has
-    # two classes in PSL2(7), so no single class certifies the share first
+    # macbeath's triples of these types share a class, so it verifies
+    # nothing and the 20 random attempts that follow end inconclusive; only
+    # p = 5 divides both type products, and e = 2 is even, so no share is
+    # certified first
     with pytest.raises(SearchInconclusive, match="in 20 random attempts"):
-        search_structure(PSL2(7), "auto", target_types=((7, 7, 7), (7, 7, 7)),
+        search_structure(PSL2(5, 2), "auto", target_types=((5, 5, 13), (5, 5, 6)),
                          max_attempts=20)
 
 
