@@ -96,6 +96,17 @@ class Group:
             return f"{self.descriptor()} has one class of elements of order {r}"
         return None
 
+    def _every_class_forced(self, r: int) -> str:
+        """forced_share's reason when such powers reach every class of order r."""
+        return (f"the powers of every element of {self.descriptor()} whose order "
+                f"{r} divides meet every class of order {r}")
+
+    def census_closed_form(self) -> tuple[int, int] | None:
+        """(number of (Sigma, sorted type) keys, generating pairs) of the pair
+        census when known in closed form, each Sigma set then weighing
+        pairs // keys; or None."""
+        return None
+
     def iter_elements(self):
         raise NotImplementedError
 
@@ -256,6 +267,19 @@ class AbelianSquare(Group):
                     fps.append(("e", k * h0 % n, k * h1 % n))
             sigma = self._sigma_memo[a] = self._sigma_mask(fps)
         return sigma
+
+    def census_closed_form(self):
+        # A generating pair is a basis of Zn^2, and its Sigma is fixed by a
+        # 3-subset of P^1(F_r) for each prime r | n: the lines of x, y and xy
+        # in the r-torsion F_r^2.  GL2(Z/n) maps onto the product of the
+        # GL2(F_r), and each ordered triple of distinct points of P^1(F_r) has
+        # r - 1 preimages in GL2(F_r) (PGL2 is sharply 3-transitive), so every
+        # 3-subset occurs with one weight; all orders are n, one type.
+        keys, bases = 1, self.order ** 2
+        for r in prime_factors(self.n):
+            keys *= math.comb(r + 1, 3)
+            bases = bases // r ** 3 * (r - 1) * (r * r - 1)
+        return keys, bases
 
     def one_class_of_order(self, r):
         return False  # r divides n, so r**2 - 1 >= 3 singleton classes

@@ -369,6 +369,14 @@ class AlternatingGroup(_PermGroupBase):
         # n = 2r, split at n = r and r + 1
         return self.n < 8 if r == 2 else r + 2 <= self.n < 2 * r
 
+    def forced_share(self, r):
+        # r odd and r <= n < 2r: an element whose order r divides has one
+        # r-cycle, whose powers reach both halves of a split class
+        reason = Group.forced_share(self, r)
+        if reason or not (r % 2 and r <= self.n < 2 * r):
+            return reason
+        return self._every_class_forced(r)
+
     def iter_elements(self):
         from itertools import permutations
         return (g for g in permutations(range(self.n)) if parity(g) == 0)

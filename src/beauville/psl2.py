@@ -261,8 +261,7 @@ class PSL2(Group):
         reason = Group.forced_share(self, r)
         if reason or (r == self.p and self.d == 2 and self.e % 2 == 0):
             return reason
-        return (f"the powers of every element of {self.descriptor()} whose order "
-                f"{r} divides meet every class of order {r}")
+        return self._every_class_forced(r)
 
     # -- conjugacy fingerprints ---------------------------------------------------
 

@@ -419,7 +419,7 @@ class PairCensus:
     With x over ``representatives`` non-identity class representatives and
     y over G, ``pairs_checked`` counts the pairs (x, y), of which
     ``generating_pairs`` generate.  ``pairs_tested`` counts the generation
-    tests made, one per C_G(x)-orbit of y.
+    tests made, one per C_G(x)-orbit of y, up to an early stop.
     """
     weights: dict
     examples: dict
@@ -440,6 +440,8 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP) -> PairCensus:
     those of a scan of every y in G order: if y is the first y reaching some
     (Sigma, type), the first member of its orbit reaches it too, so that
     member is y; ``weights``, ``examples`` and their insertion orders agree.
+    When ``G.census_closed_form()`` gives the counts, the scan stops before
+    the next x once it holds every key.
     The census is kept on the handle; a later call still refuses a smaller
     ``pair_cap``.
     """
@@ -455,9 +457,13 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP) -> PairCensus:
     if G._census is not None:
         return G._census
     reps = partition.classes[1:]  # identity class first
+    keys, bases = G.census_closed_form() or (None, None)
     weights, examples = {}, {}
     gen_pairs = tested = 0
     for cls in reps:
+        if len(examples) == keys:  # every first pair is in; the rest only adds weight
+            gen_pairs, weights = bases, dict.fromkeys(weights, bases // keys)
+            break
         x = cls.representative
         for y, size in G.centralizer_orbits(x, partition.elements):
             tested += 1

@@ -757,6 +757,18 @@ PINNED_DIGESTS = [
     (["search", "--group", "psl2:13", "--strategy", "random",
       "--type1", "2,3,7", "--type2", "7,7,7"],
      "7cceabe73490a68f0c8a18fc825280af35e1e860aac285d8453cfed5e5182e19"),
+    # typed random searches on alt:6 whose types share 5: every element of
+    # order divisible by 5 is a 5-cycle, whose powers reach both classes of
+    # 5-cycles; all three ran their whole budget and ended inconclusive
+    (["search", "--group", "alt:6", "--strategy", "random",
+      "--type1", "2,5,5", "--type2", "3,5,5"],
+     "d15b5a3b77af245c2f30122dd586cb1ee3bbf39880fbc6c20606b79ed4cc712a"),
+    (["search", "--group", "alt:6", "--strategy", "random",
+      "--type1", "5,5,5", "--type2", "3,3,5"],
+     "1f303379b11dfa70e45819ff74b2df0f275af5be0d496851ba6ff5b6b97f8093"),
+    (["search", "--group", "alt:6", "--strategy", "random",
+      "--type1", "4,4,5", "--type2", "3,5,5"],
+     "cf2a141dd0e48aca4ce57a1572c288ab19d5220b9c53e81deea8a0969871be75"),
 ]
 
 
@@ -767,6 +779,15 @@ def test_pinned_json_output(capsys, tmp_path, monkeypatch, argv, digest):
     fmt = [] if "--format" in argv else ["--format", "json"]
     _, out = _run(capsys, argv + ["--no-timing"] + fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("type1,type2", [("2,5,5", "3,5,5"), ("5,5,5", "3,3,5"),
+                                         ("4,4,5", "3,5,5")])
+def test_split_class_share_certificate_exits_1(capsys, type1, type2):
+    code, doc = _run_json(capsys, ["search", "--group", "alt:6", "--strategy", "random",
+                                   "--type1", type1, "--type2", type2])
+    assert code == 1 and not doc["result"]["found"]
+    assert "whose order 5 divides" in doc["result"]["certificate"]["unrealizable"]
 
 
 @pytest.mark.parametrize("group,digest", [

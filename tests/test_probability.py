@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import pickle
 import random
@@ -7,6 +8,7 @@ import pytest
 
 from beauville import probability
 from beauville.groups import AbelianSquare, parse_group
+from beauville.numutil import prime_factors
 from beauville.perms import AlternatingGroup
 from beauville.psl2 import PSL2
 from beauville.probability import (EstimationConfig,
@@ -73,6 +75,25 @@ def test_exact_probability_matches_unreduced_enumeration(descriptor):
     from _oracles import exact_probability_all_pairs
     g = parse_group(descriptor)
     assert exact_probability_exhaustive(g) == exact_probability_all_pairs(g)
+
+
+def _abelian_square_probability(n):
+    # (|GL2(Z/n)| / n**4)**2 times, for each prime r | n, the share of the
+    # ordered pairs of 3-subsets of P^1(F_r) that are disjoint: the census
+    # weighs every Sigma set alike, one 3-subset of lines per prime
+    p = Fraction(1)
+    for r in prime_factors(n):
+        p *= ((1 - Fraction(1, r)) * (1 - Fraction(1, r * r))) ** 2
+        p *= Fraction(math.comb(r - 2, 3), math.comb(r + 1, 3))
+    return p
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_exact_probability_of_zn_squared_has_a_closed_form(n):
+    assert exact_probability_exhaustive(AbelianSquare(n)) == _abelian_square_probability(n)
+    if n <= 7:
+        from _oracles import exact_probability_all_pairs
+        assert exact_probability_all_pairs(AbelianSquare(n)) == _abelian_square_probability(n)
 
 
 # -- determinism --------------------------------------------------------------------

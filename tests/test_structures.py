@@ -397,19 +397,40 @@ def test_typed_random_search_draws_when_p_divides_both_types_and_e_is_even():
     assert search_structure(G, "random", target_types=targets, max_attempts=20000).found
 
 
+@pytest.mark.parametrize("descriptor,targets", [
+    ("alt:6", ((2, 5, 5), (3, 5, 5))),
+    ("alt:6", ((5, 5, 5), (3, 3, 5))),
+    ("alt:6", ((4, 4, 5), (3, 5, 5))),
+    ("alt:7", ((7, 7, 7), (2, 4, 7))),
+], ids=["alt:6-255-355", "alt:6-555-335", "alt:6-445-355", "alt:7-777-247"])
+def test_typed_random_search_certifies_a_share_of_a_split_class(descriptor, targets):
+    # r <= n < 2r: every element whose order r divides has one r-cycle, whose
+    # powers reach both A_n classes of r-cycles; the census agrees
+    g = parse_group(descriptor)
+    assert not search_structure(g, "exhaustive", target_types=targets).found
+    out = search_structure(g, "random", target_types=targets, max_attempts=2000)
+    assert not out.found and list(out.stats) == ["strategy", "elapsed"]
+    r = 5 if descriptor == "alt:6" else 7
+    assert out.certificate == {"unrealizable": (
+        f"both type products are divisible by {r}, and the powers of every element "
+        f"of {descriptor} whose order {r} divides meet every class of order {r}, "
+        f"which both Sigma sets hold")}
+
+
 @pytest.mark.parametrize("descriptor", ["psl2:5", "psl2:7", "psl2:2^3", "psl2:3^2",
-                                        "psl2:13", "psl2:5^2", "psl2:3^3", "alt:6", "sym:5"])
+                                        "psl2:13", "psl2:5^2", "psl2:3^3", "alt:6", "sym:5",
+                                        "alt:3", "alt:4", "alt:5", "alt:7", "alt:8",
+                                        "sym:3", "sym:4", "sym:6", "sym:7"])
 def test_forced_share_matches_the_sigma_sets_of_the_class_representatives(descriptor):
-    # a share is claimed only when every two elements whose orders r divides
-    # share a class among their prime-order powers, and on PSL2 exactly then
-    # (A_6 has two classes of 5-cycles, both in every such Sigma: unclaimed)
+    # a share is claimed exactly when every two elements whose orders r
+    # divides share a class among their prime-order powers (A_6 has two
+    # classes of 5-cycles, both in every such Sigma)
     g = parse_group(descriptor)
     reps = [c.representative for c in g.classes().classes]
     for r in {r for x in reps for r in prime_factors(g.order_of(x))}:
         masks = [g.prime_power_classes(x) for x in reps if g.order_of(x) % r == 0]
         forced = all(a & b for a in masks for b in masks)
-        claimed = g.forced_share(r) is not None
-        assert claimed == forced if g.kind == "psl2" else forced or not claimed, r
+        assert (g.forced_share(r) is not None) == forced, r
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -499,7 +520,8 @@ def test_pair_census_enumerates_the_group_once():
 
 # the ids keep the "-None" of the no-targets case of the filtered census
 @pytest.mark.parametrize("descriptor", ["alt:5", "sym:5", "alt:6", "sym:6", "psl2:7",
-                                        "psl2:2^3", "psl2:11", "psl2:13", "ab:5", "ab:7"],
+                                        "psl2:2^3", "psl2:11", "psl2:13", "ab:5", "ab:7",
+                                        "ab:6", "ab:8", "ab:9", "ab:10", "ab:12"],
                          ids=lambda d: f"{d}-None")
 def test_pair_census_equals_the_all_y_scan(descriptor):
     # the census keys Sigma by mask, decoded here; the scan walks each
@@ -522,6 +544,29 @@ def test_abelian_census_counts_the_bases_of_zn_squared(n):
     for p in prime_factors(n):
         gl2 *= (1 - Fraction(1, p)) * (1 - Fraction(1, p * p))
     assert pair_census(AbelianSquare(n)).generating_pairs == gl2
+
+
+@pytest.mark.parametrize("n", range(2, 26))
+def test_abelian_census_stop_matches_the_full_scan(n):
+    # the census stops once it holds every (Sigma, type) key and takes its
+    # counts from AbelianSquare.census_closed_form; without the hook it
+    # scans every pair
+    g, full = AbelianSquare(n), AbelianSquare(n)
+    full.census_closed_form = lambda: None
+    fast, slow = pair_census(g), pair_census(full)
+    assert ([(g.sigma_classes(s), w) for s, w in fast.weights.items()]
+            == [(full.sigma_classes(s), w) for s, w in slow.weights.items()])
+    assert ([(g.sigma_classes(s), tau, pair) for (s, tau), pair in fast.examples.items()]
+            == [(full.sigma_classes(s), tau, pair) for (s, tau), pair in slow.examples.items()])
+    assert ((fast.pairs_checked, fast.generating_pairs, fast.representatives)
+            == (slow.pairs_checked, slow.generating_pairs, slow.representatives))
+    assert (len(fast.examples), fast.generating_pairs) == g.census_closed_form()
+    assert fast.pairs_tested <= slow.pairs_tested == slow.pairs_checked
+
+
+def test_abelian_census_stops_early():
+    census = pair_census(AbelianSquare(13))
+    assert census.pairs_tested < census.pairs_checked / 4
 
 
 @pytest.mark.parametrize("targets", [((4, 4, 4), (3, 5, 5)), ((3, 4, 5), (3, 5, 5))])
