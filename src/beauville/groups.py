@@ -11,6 +11,10 @@ hashable element payload:
   read by each realization in closed form from invariants of x and
   memoized; there is no generic walk over the powers
 * ``sigma_classes(mask)`` -- the fingerprints of a mask's classes, for display
+* ``element_of_order(k)`` -- an element of order k, GroupError when none exists
+* ``forced_share(r)`` -- why every two Sigma sets whose triples' orders the
+  prime r divides share a class, in closed form, or None
+* ``census_closed_form()`` -- the pair census's key and pair counts, or None
 * ``centralizer_orbits(x, elements)`` -- one y per C_G(x)-conjugation orbit
 * ``elements(limit)`` -- full enumeration, each element exactly once
 * ``classes(cap, max_classes)`` -- the conjugacy-class partition, kept
@@ -85,19 +89,17 @@ class Group:
     def prime_power_classes(self, a) -> int:
         raise NotImplementedError
 
-    def one_class_of_order(self, r: int) -> bool:
-        """Whether the elements of prime order r (some exist) form one class."""
-        raise NotImplementedError
-
     def forced_share(self, r: int) -> str | None:
         """Why the Sigma sets of any two elements whose orders the prime r
-        divides share a class, or None: here, one class of order r."""
-        if self.one_class_of_order(r):
-            return f"{self.descriptor()} has one class of elements of order {r}"
+        (an element order) divides share a class, or None, as on Zn x Zn:
+        there r divides n, so r**2 - 1 >= 3 singleton classes have order r."""
         return None
 
-    def _every_class_forced(self, r: int) -> str:
-        """forced_share's reason when such powers reach every class of order r."""
+    def _share_reason(self, r: int, one_class: bool) -> str:
+        """forced_share's text: one class of order r, or else the powers of
+        every element whose order r divides reach every class of order r."""
+        if one_class:
+            return f"{self.descriptor()} has one class of elements of order {r}"
         return (f"the powers of every element of {self.descriptor()} whose order "
                 f"{r} divides meet every class of order {r}")
 
@@ -280,9 +282,6 @@ class AbelianSquare(Group):
             keys *= math.comb(r + 1, 3)
             bases = bases // r ** 3 * (r - 1) * (r * r - 1)
         return keys, bases
-
-    def one_class_of_order(self, r):
-        return False  # r divides n, so r**2 - 1 >= 3 singleton classes
 
     def element_of_order(self, k):
         if self.n % k:

@@ -319,9 +319,6 @@ class _PermGroupBase(Group):
             sigma = self._sigma_memo[ct] = self._sigma_mask(fps)
         return sigma
 
-    def one_class_of_order(self, r):
-        return self.n < 2 * r  # one type: a single r-cycle
-
     def parse_element(self, text):
         g = parse_cycles(text, self.n)
         self.check_element(g)
@@ -364,18 +361,13 @@ class AlternatingGroup(_PermGroupBase):
             return ("c",) + ct + ("s", _canonical_conjugator_parity(a))
         return ("c",) + ct
 
-    def one_class_of_order(self, r):
-        # r = 2: the types 2^(2j), one below n = 8; r odd: one type below
-        # n = 2r, split at n = r and r + 1
-        return self.n < 8 if r == 2 else r + 2 <= self.n < 2 * r
-
     def forced_share(self, r):
-        # r odd and r <= n < 2r: an element whose order r divides has one
-        # r-cycle, whose powers reach both halves of a split class
-        reason = Group.forced_share(self, r)
-        if reason or not (r % 2 and r <= self.n < 2 * r):
-            return reason
-        return self._every_class_forced(r)
+        # r = 2: the types 2^(2j), one class below n = 8.  Odd r <= n < 2r:
+        # an element whose order r divides has one r-cycle, whose class splits
+        # at n = r and r + 1, and its powers reach both halves
+        if r == 2:
+            return self._share_reason(r, True) if self.n < 8 else None
+        return self._share_reason(r, self.n >= r + 2) if r <= self.n < 2 * r else None
 
     def iter_elements(self):
         from itertools import permutations
@@ -427,6 +419,11 @@ class SymmetricGroup(_PermGroupBase):
         g = list(range(self.n))
         rng.shuffle(g)
         return tuple(g)
+
+    def forced_share(self, r):
+        # n < 2r: an element whose order r divides has one r-cycle, and the
+        # r-cycles form one class
+        return self._share_reason(r, True) if self.n < 2 * r else None
 
     def element_of_order(self, k):
         """A permutation of order k, even when one exists, else odd."""

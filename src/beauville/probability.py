@@ -22,6 +22,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .groups import Group
 from .structures import (DEFAULT_SEED, PAIR_CAP, pair_census, shared_classes,
@@ -210,8 +211,9 @@ def estimate_component_stats(G: Group, samples: int, seed: int = DEFAULT_SEED,
 def exact_probability_exhaustive(G: Group, pair_cap: int = PAIR_CAP) -> Fraction:
     """Exact rational P(G) from the pair census: a quadruple is a structure
     when both pairs generate and their Sigma sets are disjoint, so the count
-    is the sum of weight products over disjoint pairs of Sigma sets."""
-    weights = pair_census(G, pair_cap).weights
-    total = sum(w1 * w2 for s1, w1 in weights.items()
-                for s2, w2 in weights.items() if not s1 & s2)
-    return Fraction(total, G.order ** 4)
+    is the sum of weight products over ordered disjoint pairs of Sigma sets:
+    twice the sum over unordered pairs, as a generating pair's Sigma set is
+    never empty and so never disjoint from itself."""
+    total = sum(w1 * w2 for (s1, w1), (s2, w2)
+                in combinations(pair_census(G, pair_cap).weights.items(), 2) if not s1 & s2)
+    return Fraction(2 * total, G.order ** 4)

@@ -28,8 +28,8 @@ from .groups import Group, GroupError, HandleMismatch, closure
 from .numutil import prime_factors
 
 # extension fields up to this q multiply through q x q tables, built in
-# 0.7 ms at q = 64 on a 2-vCPU VM; past it the build (3 ms at 128, 16 ms at
-# 243) outweighs a Monte Carlo estimate's products, and every whole-group
+# 0.8 ms at q = 64 on a 2-vCPU Xeon VM; past it the build (3 ms at 128, 17 ms
+# at 243) outweighs a Monte Carlo estimate's products, and every whole-group
 # path stays below it
 PRODUCT_TABLE_Q = 64
 
@@ -250,18 +250,14 @@ class PSL2(Group):
                 v0, v1 = v1, F.sub(F.mul(t, v1), v0)
         return frozenset(out)
 
-    def one_class_of_order(self, r):
-        # r = 2: the involutions (unipotent when p = 2); r != p: (r - 1)/2
-        # classes; r = p odd: the two unipotent classes
-        return r == 2 or r == 3 != self.p
-
     def forced_share(self, r):
         # Fact B (prime_power_classes): r != p puts the bit ("r", r) in every
-        # such Sigma, and r = p puts both unipotent classes there when e is odd
-        reason = Group.forced_share(self, r)
-        if reason or (r == self.p and self.d == 2 and self.e % 2 == 0):
-            return reason
-        return self._every_class_forced(r)
+        # such Sigma, and r = p both unipotent classes when e is odd.  Order
+        # r has one class at r = 2 (unipotent when p = 2) and at r = 3 != p;
+        # other r != p have (r - 1)/2, and an odd r = p has two
+        if r == self.p and self.d == 2 and self.e % 2 == 0:
+            return None
+        return self._share_reason(r, r == 2 or r == 3 != self.p)
 
     # -- conjugacy fingerprints ---------------------------------------------------
 

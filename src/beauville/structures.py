@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice, product
+from itertools import product
 
 from .groups import ENUMERATION_CAP, CapExceeded, Group, GroupError
 from .numutil import PRIME_PROOF_BOUND, is_prime, prime_factors
@@ -38,8 +38,6 @@ PAIR_CAP = 2_000_000
 # takes a fraction of a second and certifies, where random search could only
 # end inconclusive (no non-abelian group this small has a structure)
 AUTO_CENSUS_ORDER = 60
-# the macbeath strategy's fallback tries at most this many coprime type pairs
-COPRIME_TYPE_PAIRS = 40
 
 
 class Unrealizable(GroupError):
@@ -236,19 +234,19 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
     solved constructively, and for non-singular triples the generated
     subgroup depends only on the traces, so an exhausted sweep is a
     nonexistence proof.  Permutation groups use shaped representatives and
-    seeded random conjugates (inconclusive on exhaustion).  Zn x Zn fixes
-    x = (n/r, 0), complete up to automorphism, and sweeps y.
+    seeded random conjugates (inconclusive on exhaustion).  Zn x Zn has
+    one generating type, (n, n, n), read in closed form.
     """
     if min(r, s, t) < 2:
         raise Unrealizable("generating-triple orders must all be >= 2")
     if G.kind == "psl2":
         return _psl2_triple(G, r, s, t)
-    try:  # each order must occur in G; x0 (and y0 for permutations) seed the search
+    try:  # each order must occur in G; x0 and y0 seed the permutation search
         x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
     except GroupError as exc:
         raise Unrealizable(str(exc)) from exc
     if G.kind == "abelian":
-        return _abelian_triple(G, x0, r, s, t)
+        return _abelian_triple(G, r, s, t)
     return _perm_triple(G, x0, y0, r, s, t, seed, max_attempts)
 
 
@@ -310,19 +308,15 @@ def _symmetric_shapes(n, r, s, t):
         f"these orders on {n} points have such parities")
 
 
-def _abelian_triple(G, x, r, s, t):
-    # x = element_of_order(r) = (n/r, 0) is a complete choice up to
-    # automorphisms of Zn x Zn, which preserve all three conditions
-    for y in G.iter_elements():
-        if G.order_of(y) != s:
-            continue
-        z = G.inverse(G.multiply(x, y))
-        if G.order_of(z) != t:
-            continue
-        if G.generates(x, y):
-            return GeneratingTriple(x, y, z, (r, s, t))
-    raise Unrealizable(
-        f"{G.descriptor()} has no generating triple of type ({r},{s},{t})")
+def _abelian_triple(G, r, s, t):
+    # a generating pair is a basis of Zn^2, and so are (x, xy) and (xy, y),
+    # so x, y and z all have order n; the standard basis is the first pair
+    # a sweep of y in element order would find for x = (1, 0)
+    n = G.n
+    if (r, s, t) != (n, n, n):
+        raise Unrealizable(
+            f"{G.descriptor()} has no generating triple of type ({r},{s},{t})")
+    return GeneratingTriple((1, 0), (0, 1), (n - 1, n - 1), (r, s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +365,9 @@ def search_structure(G: Group, strategy: str = "auto",
     element reduced to class representatives (all three conditions are
     invariant under simultaneous conjugation), so an empty result is a
     nonexistence certificate; 'macbeath' (PSL2 only) builds triples from
-    trace candidates, pairing split-order and nonsplit-order types whose
-    products are coprime; 'random' draws seeded uniform quadruples.
+    trace candidates for the fixed coprime type pairs ((m,m,m),(n,n,n)),
+    ((m,m,m),(n,n,p)) and ((m,m,n),(p,p,p)), m and n the split and nonsplit
+    orders; 'random' draws seeded uniform quadruples.
     'auto' picks exhaustive for |G| <= AUTO_CENSUS_ORDER, then
     macbeath -> random for PSL2, exhaustive for small Zn x Zn, random
     otherwise.
@@ -568,23 +563,17 @@ def _forced_failure(G, target1, target2):
 def _macbeath_search(G, targets, t0):
     """Guided search for PSL2: build each triple from the trace machinery.
 
-    Without targets, the split/nonsplit type pairs ((m,m,m),(n,n,n)) and
-    ((m,m,m),(n,n,p)) with m = (q-1)/d, n = (q+1)/d have coprime order
-    products and both occur for q > 7; smaller q falls back to scanning
-    coprime hyperbolic type pairs from the realizable order menu.
+    Without targets, the candidates are the hyperbolic pairs among the fixed
+    ((m,m,m),(n,n,n)), ((m,m,m),(n,n,p)) and ((m,m,n),(p,p,p)), m = (q-1)/d
+    and n = (q+1)/d: m, n and p are pairwise coprime, so each pair's order
+    products are.  The first succeeds for every q from 8 to 2,100 (a test
+    checks them all), the third at q = 7; q = 4 and 5 have no candidate.
     """
-    if targets:
-        candidates = [targets]
-    else:
-        m, n, p = G.split_order, G.nonsplit_order, G.p
-        split = [(tuple(sorted(tau1)), tuple(sorted(tau2)))
-                 for tau1, tau2 in (((m, m, m), (n, n, n)), ((m, m, m), (n, n, p)))
-                 if _hyperbolic(tau1) and _hyperbolic(tau2)]
-        candidates = chain(split, _coprime_type_pairs(G))
-    attempts = 0
+    m, n, p = G.split_order, G.nonsplit_order, G.p  # m < n: only (n, n, p) needs a sort
+    fixed = (((m, m, m), (n, n, n)), ((m, m, m), tuple(sorted((n, n, p)))), ((m, m, n), (p, p, p)))
+    candidates = [targets] if targets else [pair for pair in fixed if all(map(_hyperbolic, pair))]
     last_error = None
-    for tau1, tau2 in candidates:
-        attempts += 1
+    for attempts, (tau1, tau2) in enumerate(candidates, 1):
         try:
             tri1 = find_generating_triple(G, *tau1)
             tri2 = find_generating_triple(G, *tau2)
@@ -602,7 +591,7 @@ def _macbeath_search(G, targets, t0):
                 "strategy": "macbeath", "types_tried": attempts,
                 "type1": list(tau1), "type2": list(tau2)})
     raise SearchInconclusive(
-        f"macbeath strategy exhausted {attempts} type pairs for "
+        f"macbeath strategy exhausted {len(candidates)} type pairs for "
         f"{G.descriptor()}" + (f" (last: {last_error})" if last_error else ""))
 
 
@@ -610,16 +599,3 @@ def _hyperbolic(tau) -> bool:
     """1/r + 1/s + 1/t < 1, in integers: rs + st + tr < rst (false with a 1)."""
     r, s, t = tau
     return r * s + s * t + t * r < r * s * t
-
-
-def _coprime_type_pairs(G):
-    """The first COPRIME_TYPE_PAIRS hyperbolic type pairs with coprime order
-    products, smallest first.
-
-    A generator: nothing is built until the first pair is asked for."""
-    orders = sorted(o for o in G.realizable_orders() if o >= 2)
-    triples = sorted(filter(_hyperbolic, combinations_with_replacement(orders, 3)),
-                     key=lambda tau: (math.prod(tau), tau))
-    pairs = ((tau1, tau2) for tau1, tau2 in combinations_with_replacement(triples, 2)
-             if math.gcd(math.prod(tau1), math.prod(tau2)) == 1)
-    yield from islice(pairs, COPRIME_TYPE_PAIRS)

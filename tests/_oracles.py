@@ -393,6 +393,20 @@ def pair_census_all_y(G):
     return PairCensus(weights, examples, tested, gen_pairs, len(reps), tested)
 
 
+def abelian_triple_sweep(G, r, s, t):
+    """The generating (x, y, z) of Zn x Zn with orders (r, s, t), or None:
+    x = (n/r, 0), complete up to automorphism, and the first y in element
+    order that gives |y| = s, |z| = t and generation."""
+    x = (G.n // r, 0)
+    for y in G.iter_elements():
+        if G.order_of(y) != s:
+            continue
+        z = G.inverse(G.multiply(x, y))
+        if G.order_of(z) == t and G.generates(x, y):
+            return x, y, z
+    return None
+
+
 def subfield_elements(G, d):
     F = G.field
     return [a for a in F.elements() if F.frobenius(a, d) == a]

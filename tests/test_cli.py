@@ -71,6 +71,14 @@ def test_triple_with_an_order_beyond_every_cycle_length_is_unrealizable(capsys, 
     assert code == 1 and doc["result"]["unrealizable"] is True
 
 
+def test_abelian_triple_of_a_type_other_than_n_n_n_is_unrealizable_at_once(capsys):
+    # a generating pair of Zn x Zn is a basis, so only (n,n,n) occurs; no
+    # sweep over the 9,000,000 elements of ab:3000 is made
+    code, doc = _run_json(capsys, ["triple", "--group", "ab:3000", "--r", "3", "--s", "3",
+                                   "--t", "3"])
+    assert code == 1 and doc["result"]["unrealizable"] is True
+
+
 @pytest.mark.parametrize("group", ["psl2:2^100000000000", f"psl2:{2**64 + 13}",
                                    "psl2:3^39", "psl2:1000^2"])
 def test_oversized_field_exits_2(capsys, group):

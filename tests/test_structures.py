@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -15,10 +14,10 @@ from beauville.structures import (SearchInconclusive, Unrealizable,
                                   is_hurwitz_psl2, pair_census, search_structure,
                                   shared_classes, sigma_prime_fingerprints,
                                   verify_quadruple)
-from beauville.structures import _coprime_type_pairs, _hyperbolic
+from beauville.structures import _hyperbolic, _macbeath_search
 
-from _oracles import (pair_census_all_y, prime_power_walk, sigma_full_fingerprints,
-                      sigma_prime_walk)
+from _oracles import (abelian_triple_sweep, pair_census_all_y, prime_power_walk,
+                      sigma_full_fingerprints, sigma_prime_walk)
 
 
 # -- triangle types ------------------------------------------------------------
@@ -36,23 +35,30 @@ def test_triangle_classification():
 
 
 def test_measure_positive_iff_hyperbolic():
-    # also: the integer test the Macbeath type-pair walk uses agrees
+    # also: the integer test that filters the Macbeath type pairs agrees
     for tau in itertools.combinations_with_replacement(range(2, 31), 3):
         tri = classify_triangle(*tau)
         assert (tri.measure > 0) == (tri.kind == "hyperbolic") == _hyperbolic(tau)
 
 
-@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:3^2", "psl2:11", "psl2:2^4"])
-def test_coprime_type_pairs_keep_their_order(descriptor):
-    # the eager construction with Fraction arithmetic they replace
-    G = parse_group(descriptor)
-    orders = sorted(o for o in G.realizable_orders() if o >= 2)
-    triples = sorted((tau for tau in itertools.combinations_with_replacement(orders, 3)
-                      if classify_triangle(*tau).kind == "hyperbolic"),
-                     key=lambda tau: (math.prod(tau), tau))
-    pairs = [(a, b) for a, b in itertools.combinations_with_replacement(triples, 2)
-             if math.gcd(math.prod(a), math.prod(b)) == 1][:40]
-    assert pairs and list(_coprime_type_pairs(G)) == pairs
+def test_macbeath_search_finds_its_first_hyperbolic_type_pair_for_every_q_to_2100():
+    # the untyped candidates are ((m,m,m),(n,n,n)), ((m,m,m),(n,n,p)) and
+    # ((m,m,n),(p,p,p)), kept when hyperbolic: the first succeeds for q >= 8,
+    # the third is the only one at q = 7, and q = 4 and 5 have none
+    fields = [(p, e) for p in range(2, 2101) if is_prime(p)
+              for e in range(1, 12) if 4 <= p ** e <= 2100]
+    assert len(fields) == 346
+    for p, e in fields:
+        G = PSL2(p, e)
+        if p ** e in (4, 5):
+            with pytest.raises(SearchInconclusive, match="exhausted 0 type pairs"):
+                _macbeath_search(G, None, 0.0)
+            continue
+        stats = _macbeath_search(G, None, 0.0).stats
+        m, n = G.split_order, G.nonsplit_order
+        expected = ([3, 3, 4], [7, 7, 7]) if p ** e == 7 else ([m] * 3, [n] * 3)
+        assert (stats["type1"], stats["type2"]) == expected, (p, e)
+        assert stats["types_tried"] == 1, (p, e)
 
 
 # -- hurwitz criterion -----------------------------------------------------------
@@ -142,10 +148,23 @@ def test_abelian_triple_refuses_orders_and_skips_wrong_z_orders():
     g = AbelianSquare(6)
     with pytest.raises(Unrealizable, match="order 4 does not divide n = 6"):
         find_generating_triple(g, 4, 2, 2)
-    # x = (1, 0): y = (3, 0) gives |z| = 3 but no generation, y = (0, 3)
-    # and (3, 3) give |z| = 6, so the sweep ends without a triple
+    # every order divides 6, but only (6,6,6) generates
     with pytest.raises(Unrealizable, match=r"no generating triple of type \(6,2,3\)"):
         find_generating_triple(g, 6, 2, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_abelian_triple_matches_the_sweep_on_every_divisor_triple(n):
+    g = AbelianSquare(n)
+    divisors = [k for k in range(2, n + 1) if n % k == 0]
+    for r, s, t in itertools.product(divisors, repeat=3):
+        found = abelian_triple_sweep(g, r, s, t)
+        if found is None:
+            with pytest.raises(Unrealizable, match=rf"type \({r},{s},{t}\)$"):
+                find_generating_triple(g, r, s, t)
+        else:
+            tri = find_generating_triple(g, r, s, t)
+            assert ((tri.x, tri.y, tri.z), tri.orders) == (found, (r, s, t))
 
 
 def test_perm_triple_inconclusive_when_attempts_run_out():
@@ -437,12 +456,14 @@ def test_forced_share_matches_the_sigma_sets_of_the_class_representatives(descri
     "alt:3", "alt:4", "alt:5", "alt:6", "alt:7", "alt:8", "sym:3", "sym:4", "sym:5", "sym:6",
     "sym:7", "psl2:2^2", "psl2:7", "psl2:2^3", "psl2:3^2", "psl2:3^3", "psl2:13", "ab:6"])
 def test_one_class_of_order_matches_the_class_partition(descriptor):
+    # forced_share names one class of order r exactly when the partition has one
     g = parse_group(descriptor)
     counts = {}
     for cls in g.classes().classes:
         counts[cls.element_order] = counts.get(cls.element_order, 0) + 1
     for r in filter(is_prime, counts):
-        assert g.one_class_of_order(r) == (counts[r] == 1), r
+        one_class = f"{descriptor} has one class of elements of order {r}"
+        assert (g.forced_share(r) == one_class) == (counts[r] == 1), r
 
 
 # -- search strategies ----------------------------------------------------------------
