@@ -1,11 +1,11 @@
 """Command-line front end.
 
-One subcommand per operation: verify, search, triple, classify, estimate,
-stats, classes, frobenius, chartable, zeta, hurwitz, triangle.  Every run
-echoes its fully resolved configuration; all randomness flows from --seed
-(a fixed published default, never entropy), so identical invocations give
-identical output.  --no-timing strips elapsed fields for byte-identical
-reruns.
+One subcommand per operation.  ``COMMANDS`` is the one registry: it maps
+each command to its handler, help and options, and a run builds the parser
+of its own command alone.  Every run echoes its fully resolved
+configuration; all randomness flows from --seed (a fixed published
+default, never entropy), so identical invocations give identical output.
+--no-timing strips elapsed fields for byte-identical reruns.
 
 Exit codes: 0 success with a positive verdict; 1 verified-false, not
 found, nonexistence or not-Hurwitz; 2 usage or malformed input; 3 cap or
@@ -125,102 +125,8 @@ def _parse_type(text: str) -> tuple[int, int, int]:
     return (r, s, t)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="beauville",
-        description="Unmixed Beauville structures in PSL2(q), alternating "
-                    "and Zn x Zn groups: verify, search, count, estimate.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "tsv"), default="text")
-    common.add_argument("--out", help="append the JSON record to this JSONL file")
-    common.add_argument("--no-timing", action="store_true",
-                        help="omit elapsed-time fields (byte-identical reruns)")
-    group = argparse.ArgumentParser(add_help=False)  # the commands that act on a group
-    group.add_argument("--group", required=True)
-    sampling = argparse.ArgumentParser(add_help=False, parents=[common, group])
-    sampling.add_argument("--samples", type=_int_at_least(1), required=True)
-    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sampling.add_argument("--workers", type=_int_at_least(1), default=1)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", parents=[common, group],
-                       help="check the three conditions for a quadruple")
-    p.add_argument("--quad", required=True, help="x1;y1;x2;y2")
-    p.add_argument("--no-fastpath", action="store_true",
-                   help="always compute Sigma sets, skip the coprime shortcut")
-
-    p = sub.add_parser("search", parents=[common, group],
-                       help="find a structure or certify nonexistence")
-    p.add_argument("--strategy", default="auto",
-                   choices=("auto", "exhaustive", "macbeath", "random"))
-    p.add_argument("--type1", help="target type r,s,t for the first triple")
-    p.add_argument("--type2", help="target type r,s,t for the second triple")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=_int_at_least(1), default=200_000)
-    p.add_argument("--cap-pairs", type=_int_at_least(0), default=PAIR_CAP)
-
-    p = sub.add_parser("triple", parents=[common, group],
-                       help="find a generating triple of exact orders, or "
-                            "solve a psl2 trace triple directly")
-    p.add_argument("--r", type=_int_at_least(2))
-    p.add_argument("--s", type=_int_at_least(2))
-    p.add_argument("--t", type=_int_at_least(2))
-    p.add_argument("--traces",
-                   help="psl2 only: comma-separated traces a,b,g; returns "
-                        "matrices with those traces and product one")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--attempts", type=_int_at_least(1), default=20_000)
-
-    p = sub.add_parser("classify", parents=[common, group],
-                       help="Dickson class of the subgroup generated by a pair")
-    p.add_argument("--pair", required=True, help="x;y")
-
-    p = sub.add_parser("estimate", parents=[sampling],
-                       help="Monte Carlo estimate of the Beauville probability")
-    p.add_argument("--no-components", action="store_true")
-
-    sub.add_parser("stats", parents=[sampling],
-                   help="split/non-split/generation component fractions")
-
-    p = sub.add_parser("classes", parents=[common, group],
-                       help="list the conjugacy classes")
-    p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
-
-    p = sub.add_parser("frobenius", parents=[common, group],
-                       help="count solutions of x*y*z = 1 in three classes")
-    p.add_argument("--i", type=int, required=True, help="index of class X")
-    p.add_argument("--j", type=int, required=True, help="index of class Y")
-    p.add_argument("--k", type=int, required=True, help="index of class Z")
-    p.add_argument("--method", choices=("brute", "character"), default="brute")
-    p.add_argument("--cap-enumeration", type=_int_at_least(0), default=ENUMERATION_CAP)
-    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
-
-    p = sub.add_parser("chartable", parents=[common, group],
-                       help="compute (and optionally persist) a character table")
-    p.add_argument("--save", action="store_true",
-                   help="persist under $BEAUVILLE_CACHE_DIR")
-    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
-
-    p = sub.add_parser("zeta", parents=[common, group],
-                       help="Witten zeta: sum of degree**(-s) over Irr(G)")
-    p.add_argument("--s", type=_positive_float, required=True)
-    p.add_argument("--cap-table", type=_int_at_least(0), default=TABLE_CAP)
-
-    p = sub.add_parser("hurwitz", parents=[common],
-                       help="is PSL2(p^e) a (2,3,7) triangle-group quotient?")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-
-    p = sub.add_parser("triangle", parents=[common],
-                       help="spherical/euclidean/hyperbolic type classification")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    return top
-
-
 # ---------------------------------------------------------------------------
-# dispatch
+# commands
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args, G):
@@ -358,13 +264,95 @@ def _cmd_triangle(args, G):
     return tri.to_dict(), 0
 
 
-_DISPATCH = {
-    "verify": _cmd_verify, "search": _cmd_search, "triple": _cmd_triple,
-    "classify": _cmd_classify, "estimate": _cmd_estimate, "stats": _cmd_stats,
-    "classes": _cmd_classes, "frobenius": _cmd_frobenius,
-    "chartable": _cmd_chartable, "zeta": _cmd_zeta, "hurwitz": _cmd_hurwitz,
-    "triangle": _cmd_triangle,
+_COMMON = (
+    ("--format", dict(choices=("json", "text", "tsv"), default="text")),
+    ("--out", dict(help="append the JSON record to this JSONL file")),
+    ("--no-timing", dict(action="store_true",
+                         help="omit elapsed-time fields (byte-identical reruns)")),
+)
+_GROUP = _COMMON + (("--group", dict(required=True)),)  # the commands that act on a group
+_SEED = ("--seed", dict(type=int, default=DEFAULT_SEED))
+_SAMPLING = _GROUP + (
+    ("--samples", dict(type=_int_at_least(1), required=True)),
+    _SEED,
+    ("--workers", dict(type=_int_at_least(1), default=1)),
+)
+_REQUIRED_INT = dict(type=int, required=True)
+_ORDER = dict(type=_int_at_least(2))
+_CAP_TABLE = ("--cap-table", dict(type=_int_at_least(0), default=TABLE_CAP))
+_CAP_ENUMERATION = ("--cap-enumeration", dict(type=_int_at_least(0), default=ENUMERATION_CAP))
+
+# name -> (handler, help, options as (flag, add_argument kwargs) in help order)
+COMMANDS = {
+    "verify": (_cmd_verify, "check the three conditions for a quadruple", _GROUP + (
+        ("--quad", dict(required=True, help="x1;y1;x2;y2")),
+        ("--no-fastpath", dict(action="store_true",
+                               help="always compute Sigma sets, skip the coprime shortcut")),
+    )),
+    "search": (_cmd_search, "find a structure or certify nonexistence", _GROUP + (
+        ("--strategy", dict(default="auto",
+                            choices=("auto", "exhaustive", "macbeath", "random"))),
+        ("--type1", dict(help="target type r,s,t for the first triple")),
+        ("--type2", dict(help="target type r,s,t for the second triple")),
+        _SEED,
+        ("--attempts", dict(type=_int_at_least(1), default=200_000)),
+        ("--cap-pairs", dict(type=_int_at_least(0), default=PAIR_CAP)),
+    )),
+    "triple": (_cmd_triple, "find a generating triple of exact orders, or "
+                            "solve a psl2 trace triple directly", _GROUP + (
+        ("--r", _ORDER), ("--s", _ORDER), ("--t", _ORDER),
+        ("--traces", dict(help="psl2 only: comma-separated traces a,b,g; returns "
+                               "matrices with those traces and product one")),
+        _SEED,
+        ("--attempts", dict(type=_int_at_least(1), default=20_000)),
+    )),
+    "classify": (_cmd_classify, "Dickson class of the subgroup generated by a pair", _GROUP + (
+        ("--pair", dict(required=True, help="x;y")),
+    )),
+    "estimate": (_cmd_estimate, "Monte Carlo estimate of the Beauville probability",
+                 _SAMPLING + (("--no-components", dict(action="store_true")),)),
+    "stats": (_cmd_stats, "split/non-split/generation component fractions", _SAMPLING),
+    "classes": (_cmd_classes, "list the conjugacy classes", _GROUP + (_CAP_ENUMERATION,)),
+    "frobenius": (_cmd_frobenius, "count solutions of x*y*z = 1 in three classes", _GROUP + (
+        ("--i", dict(type=int, required=True, help="index of class X")),
+        ("--j", dict(type=int, required=True, help="index of class Y")),
+        ("--k", dict(type=int, required=True, help="index of class Z")),
+        ("--method", dict(choices=("brute", "character"), default="brute")),
+        _CAP_ENUMERATION, _CAP_TABLE,
+    )),
+    "chartable": (_cmd_chartable, "compute (and optionally persist) a character table", _GROUP + (
+        ("--save", dict(action="store_true", help="persist under $BEAUVILLE_CACHE_DIR")),
+        _CAP_TABLE,
+    )),
+    "zeta": (_cmd_zeta, "Witten zeta: sum of degree**(-s) over Irr(G)", _GROUP + (
+        ("--s", dict(type=_positive_float, required=True)),
+        _CAP_TABLE,
+    )),
+    "hurwitz": (_cmd_hurwitz, "is PSL2(p^e) a (2,3,7) triangle-group quotient?",
+                _COMMON + (("--p", _REQUIRED_INT), ("--e", _REQUIRED_INT))),
+    "triangle": (_cmd_triangle, "spherical/euclidean/hyperbolic type classification",
+                 _COMMON + (("--r", _REQUIRED_INT), ("--s", _REQUIRED_INT),
+                            ("--t", _REQUIRED_INT))),
 }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  Both parse that
+    command's argv alike, and the one-command parser's usage line, which an
+    unrecognized argument prints, still names every command."""
+    top = argparse.ArgumentParser(
+        prog="beauville",
+        description="Unmixed Beauville structures in PSL2(q), alternating "
+                    "and Zn x Zn groups: verify, search, count, estimate.")
+    sub = top.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        _, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+    return top
 
 
 def _strip_timing(obj):
@@ -438,8 +426,8 @@ def _render_tsv(envelope: dict) -> str:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:  # an --out that cannot be appended to is a usage error, before any work
         log = open(args.out, "a", encoding="utf-8") if args.out else contextlib.nullcontext()
     except OSError as exc:
@@ -454,7 +442,7 @@ def _run(args, log) -> int:
     t0 = time.perf_counter()
     try:
         G = parse_group(args.group) if hasattr(args, "group") else None
-        result, code = _DISPATCH[args.command](args, G)
+        result, code = COMMANDS[args.command][0](args, G)
     except (CapExceeded, TableInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

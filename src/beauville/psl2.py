@@ -512,24 +512,20 @@ class PSL2(Group):
             self._traces_by_order_cache = dict(sorted(table.items(), key=lambda kv: kv[1][0]))
         return self._traces_by_order_cache
 
-    def realizable_orders(self):
-        menu = {1, self.p}
-        menu.update(self.traces_by_order().keys())
-        return menu
-
     def traces_of_order(self, k: int) -> list[int]:
         """SL2 traces of the elements of exact projective order k > 1, in
-        encoding order; GroupError when no element has order k."""
+        encoding order; GroupError when no element has order k, found
+        before any torus is walked: the tori are cyclic, so every divisor
+        k > 1 of their orders is an element order, and no other k != p is."""
         F = self.field
         if k == self.p:
             return [F.two] if self.d == 1 else [F.two, F.minus_two]
-        traces = self.traces_by_order().get(k)
-        if not traces:
+        if k < 2 or self.split_order % k and self.nonsplit_order % k:
             raise GroupError(
                 f"order {k} not realizable in {self.descriptor()}: orders are "
                 f"1, p = {self.p}, divisors of {self.split_order} and of "
                 f"{self.nonsplit_order}")
-        return traces
+        return self.traces_by_order()[k]
 
     def element_of_order(self, k: int):
         """A canonical witness of exact projective order k."""

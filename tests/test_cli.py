@@ -296,6 +296,59 @@ def test_identical_invocations_are_byte_identical(capsys, argv, tmp_path, monkey
     assert out1 == out2
 
 
+# -- the command table ----------------------------------------------------------------
+
+def test_command_set_is_named_alike_in_table_schema_and_tests():
+    names = list(cli.COMMANDS)
+    assert names == _schema()["properties"]["command"]["enum"]
+    assert names == [argv[0] for argv in ALL_COMMANDS]
+
+
+def _parse_exit(capsys, parser, argv):
+    """(exit code, stdout, stderr) of a parse that ends the run."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda a: a[0])
+def test_one_command_parser_parses_as_the_full_parser(argv):
+    full = vars(cli.build_parser().parse_args(argv))
+    assert vars(cli.build_parser(argv[0]).parse_args(argv)) == full
+
+
+@pytest.mark.parametrize("name", [argv[0] for argv in ALL_COMMANDS])
+def test_one_command_parser_prints_the_same_help(capsys, name):
+    code, out, err = _parse_exit(capsys, cli.build_parser(name), [name, "--help"])
+    assert code == 0 and out.startswith(f"usage: beauville {name}")
+    assert (code, out, err) == _parse_exit(capsys, cli.build_parser(), [name, "--help"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quad", "(1,0);(0,1);(1,2);(2,1)"],
+    ["estimate", "--group", "ab:5", "--samples", "0"],
+    ["zeta", "--group", "alt:5", "--s", "-1"],
+    ["search", "--group", "ab:5", "--strategy", "bogus"],
+    ["hurwitz", "--p", "7", "--e", "1", "extra"],  # reported with the top-level usage
+], ids=["missing-group", "samples-0", "s-negative", "unknown-strategy", "unrecognized"])
+def test_one_command_parser_gives_the_same_usage_errors(capsys, argv):
+    code, out, err = _parse_exit(capsys, cli.build_parser(argv[0]), argv)
+    assert code == 2 and err.startswith("usage: beauville")
+    assert (code, out, err) == _parse_exit(capsys, cli.build_parser(), argv)
+
+
+def test_a_run_builds_the_parser_of_its_own_command_alone(capsys, monkeypatch):
+    asked, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: asked.append(command) or build(command))
+    assert run(["hurwitz", "--p", "7", "--e", "1"]) == 0
+    for argv in (["--help"], ["bogus"], []):  # help and usage errors list every command
+        with pytest.raises(SystemExit):
+            run(argv)
+    assert asked == ["hurwitz", None, None, None]
+
+
 def test_config_echo_includes_defaults(capsys):
     _, doc = _run_json(capsys, ["estimate", "--group", "ab:5", "--samples", "50"])
     cfg = doc["config"]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from beauville.groups import GroupError
 from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
@@ -76,11 +77,29 @@ def test_split_type_consistent_with_order_divisibility(p, e):
             assert k == 1
 
 
+WITNESS_SPECS = [(7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]
+
+
 def test_find_element_of_order_witnesses():
-    for (p, e) in [(7, 1), (13, 1), (2, 3), (3, 2), (5, 2)]:
+    for (p, e) in WITNESS_SPECS:
         g = PSL2(p, e)
-        for k in sorted(g.realizable_orders()):
+        for k in sorted({1, p} | set(traces_by_order_brute(g)[0])):
             assert g.order_of(g.element_of_order(k)) == k
+
+
+def test_unrealizable_order_refused_before_any_torus_walk():
+    # every k that is not an element order, refused on a fresh handle
+    for (p, e) in WITNESS_SPECS:
+        orders = {p} | set(traces_by_order_brute(PSL2(p, e))[0])
+        for k in sorted(set(range(p**e + 2)) - orders):
+            g = PSL2(p, e)
+            with pytest.raises(GroupError, match="not realizable"):
+                g.traces_of_order(k)
+            assert g._traces_by_order_cache is None
+    g = PSL2(1000003)  # neither 500001 nor 500002 is a multiple of 1000
+    with pytest.raises(GroupError, match="not realizable"):
+        g.traces_of_order(1000)
+    assert g._traces_by_order_cache is None
 
 
 def test_unrealizable_order_rejected_with_divisor_analysis():
