@@ -175,13 +175,11 @@ def _solve_traces(G, text):
         raise GroupError(f"expected three comma-separated traces, got {text!r}")
     a, b, g = (G.field.parse(p) for p in parts)
     A, B, C = G.solve_trace_triple(a, b, g)
-    x, y = G._canon(A), G._canon(B)
-    cls = G.classify_pair(x, y)
+    cls = G.classify_pair(G._canon(A), G._canon(B))
     fmt = G.format_element
-    return {"found": True, "singular": G.is_singular_triple(a, b, g),
+    return {"found": True, "singular": cls.kind == "structural",
             "traces": [G.field.format(v) for v in (a, b, g)],
-            "A": fmt(A), "B": fmt(B), "C": fmt(C),
-            "orders": [G.order_of(G._canon(m)) for m in (A, B, C)],
+            "A": fmt(A), "B": fmt(B), "C": fmt(C), "orders": list(cls.orders),
             "pair_class": str(cls)}, 0
 
 

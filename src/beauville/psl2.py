@@ -42,8 +42,9 @@ class SubgroupClass:
     'a4', 's4', 'a5', 'subfield', 'full'.  Subfield groups isomorphic to
     A4, S4 or A5 take those names (G itself, for q = 4 or 5, is 'full');
     the others are PSL2(p**degree) or PGL2(p**degree) up to conjugacy,
-    subfield_kind 'psl' or 'pgl'.  ``classify_pair`` also records the
-    pair's orders (|x|, |y|, |xy|), which equality ignores.
+    subfield_kind 'psl' or 'pgl'.  ``classify_traces`` also records the
+    pair's orders (|x|, |y|, |xy|), which equality ignores; they are None
+    for a singular triple classified without a pair.
     """
 
     kind: str
@@ -317,15 +318,7 @@ class PSL2(Group):
             d = F.random(rng)
         return self._canon((a, b, c, d))
 
-    # -- singular triples and the trace-triple solver ------------------------------
-
-    def is_singular_triple(self, a, b, g) -> bool:
-        """Singular trace triples are exactly those whose matrix pairs
-        generate a structural subgroup (Borel subgroup or cyclic)."""
-        F = self.field
-        s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
-        s = F.sub(s, F.mul(F.mul(a, b), g))
-        return F.sub(s, F.of_int(4)) == 0
+    # -- the trace-triple solver -----------------------------------------------------
 
     def solve_trace_triple(self, a, b, g):
         """Matrices (A, B, C) in SL2(q) with traces (a, b, g) and ABC = I:
@@ -396,9 +389,21 @@ class PSL2(Group):
     # -- subgroup classification -----------------------------------------------------
 
     def classify_pair(self, x, y) -> SubgroupClass:
-        """The exact Dickson class of the subgroup generated by x and y.
+        """``classify_traces`` of the lifts x, y and xy, its closure run on (x, y)."""
+        F = self.field
+        g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
+                  F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
+        return self.classify_traces(self.trace(x), self.trace(y), g, (x, y))
 
-        Decision order: singular trace triple (structural); two involutions
+    def classify_traces(self, a, b, g, pair=None) -> SubgroupClass:
+        """The exact Dickson class, with orders (|x|, |y|, |xy|), of <x, y>
+        for lifts X, Y with traces (a, b, g) = (tr X, tr Y, tr XY); by
+        Macbeath (Fact A) a non-singular triple fixes it.  The closure runs on
+        ``pair``, else on the canonical ``solve_trace_triple`` solution; a
+        singular triple takes its orders from ``pair``, else None.
+
+        Decision order: singular trace triple, a**2 + b**2 + g**2 - abg = 4
+        (structural: inside a Borel subgroup, or cyclic); two involutions
         among (x, y, xy) (dihedral); small order patterns confirmed by a
         capped closure and classified by its size (A4/S4/A5, or the whole
         group when q is 4 or 5); then the subfield test on the field
@@ -425,28 +430,28 @@ class PSL2(Group):
         involutions were classified dihedral, so the pair lies in PSL2(K)
         exactly when no trace is outside K.
 
-        Proof of the orders.  g is the trace of XY for the canonical lifts
-        X, Y, so (a, b, g) has lift-consistent signs.  A non-singular triple
-        has none of X, Y, XY equal to +-I: X = eI (e = +-1) gives a = 2e and
-        g = eb, so a**2 + b**2 + g**2 - abg = 4, and likewise for Y; XY = eI
-        gives Y = eX**-1, so b = ea and g = 2e.  So each of |x|, |y|, |xy|
-        is the order of its trace.  A singular triple takes |x|, |y| from
+        Proof of the orders.  A non-singular triple has none of X, Y, XY
+        equal to +-I: X = eI (e = +-1) gives a = 2e and g = eb, so
+        a**2 + b**2 + g**2 - abg = 4, and likewise for Y; XY = eI gives
+        Y = eX**-1, so b = ea and g = 2e.  So each of |x|, |y|, |xy| is the
+        order of its trace.  A singular triple takes |x|, |y| from
         ``order_of``, and |xy| = 1 iff y = x**-1, else the order of its trace.
         """
         F = self.field
-        a = self.trace(x)
-        b = self.trace(y)
-        g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
-                  F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
-        if self.is_singular_triple(a, b, g):
+        s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
+        if F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4):
+            if pair is None:
+                return SubgroupClass("structural")
+            x, y = pair
             xy = 1 if y == self.inverse(x) else self._trace_order(g)
             return SubgroupClass("structural", orders=(self.order_of(x), self.order_of(y), xy))
         orders = tuple(map(self._trace_order, (a, b, g)))
-        if sum(1 for o in orders if o == 2) >= 2:
+        if orders.count(2) >= 2:
             return SubgroupClass("dihedral", orders=orders)
-        os = set(orders)
-        if os <= {1, 2, 3, 4} or os <= {1, 2, 3, 5}:
-            n = len(closure(self, (x, y), stop_above=60))
+        if set(orders) <= {2, 3, 4} or set(orders) <= {2, 3, 5}:
+            if pair is None:
+                pair = tuple(map(self._canon, self.solve_trace_triple(a, b, g)[:2]))
+            n = len(closure(self, pair, stop_above=60))
             if n == self.order:
                 return SubgroupClass("full", orders=orders)
             if n <= 60:
@@ -512,19 +517,20 @@ class PSL2(Group):
             self._traces_by_order_cache = dict(sorted(table.items(), key=lambda kv: kv[1][0]))
         return self._traces_by_order_cache
 
+    def check_order(self, k: int):
+        """GroupError, found without a torus walk, unless k is p or a divisor
+        k > 1 of a torus order: the tori are cyclic, so these are the orders > 1."""
+        if k < 2 or k != self.p and self.split_order % k and self.nonsplit_order % k:
+            raise GroupError(f"order {k} not realizable in {self.descriptor()}: orders are 1, "
+                             f"p = {self.p}, divisors of {self.split_order} and of "
+                             f"{self.nonsplit_order}")
+
     def traces_of_order(self, k: int) -> list[int]:
-        """SL2 traces of the elements of exact projective order k > 1, in
-        encoding order; GroupError when no element has order k, found
-        before any torus is walked: the tori are cyclic, so every divisor
-        k > 1 of their orders is an element order, and no other k != p is."""
-        F = self.field
+        """SL2 traces of the elements of exact projective order k, in
+        encoding order; GroupError from ``check_order`` for any other k."""
+        self.check_order(k)
         if k == self.p:
-            return [F.two] if self.d == 1 else [F.two, F.minus_two]
-        if k < 2 or self.split_order % k and self.nonsplit_order % k:
-            raise GroupError(
-                f"order {k} not realizable in {self.descriptor()}: orders are "
-                f"1, p = {self.p}, divisors of {self.split_order} and of "
-                f"{self.nonsplit_order}")
+            return [self.field.two] if self.d == 1 else [self.field.two, self.field.minus_two]
         return self.traces_by_order()[k]
 
     def element_of_order(self, k: int):

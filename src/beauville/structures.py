@@ -230,9 +230,9 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
     <x, y> = G.
 
     PSL2 goes through the trace machinery deterministically: candidate
-    trace triples are swept in encoding order, each non-singular one is
-    solved constructively, and for non-singular triples the generated
-    subgroup depends only on the traces, so an exhausted sweep is a
+    trace triples are swept in encoding order and classified from their
+    traces alone, which fix the generated subgroup of a non-singular triple
+    (Fact A, in ``PSL2.classify_traces``), so an exhausted sweep is a
     nonexistence proof.  Permutation groups use shaped representatives and
     seeded random conjugates (inconclusive on exhaustion).  Zn x Zn has
     one generating type, (n, n, n), read in closed form.
@@ -251,21 +251,20 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
 
 
 def _psl2_triple(G, r, s, t):
-    """The first generating solution over the non-singular triples of the
-    traces of orders r, s and t.  No matrix of a non-singular triple is +-I
-    (proof in ``PSL2.classify_pair``), so each has the projective order of
-    its trace and the solution has orders (r, s, t)."""
+    """The first generating solution over the trace triples of orders r, s
+    and t, each classified from its traces by ``PSL2.classify_traces`` and
+    only a generating one solved.  A generating triple is non-singular, so
+    no matrix is +-I (proof in ``classify_traces``) and the solution has
+    orders (r, s, t)."""
     try:
+        for k in (r, s, t):  # refuse any of them before a torus walk
+            G.check_order(k)
         cand = [G.traces_of_order(k) for k in (r, s, t)]
     except GroupError as exc:
         raise Unrealizable(str(exc)) from exc
     for a, b, g in product(*cand):
-        if G.is_singular_triple(a, b, g):
-            continue
-        A, B, C = G.solve_trace_triple(a, b, g)
-        x, y, z = G._canon(A), G._canon(B), G._canon(C)
-        if G.classify_pair(x, y).kind == "full":
-            return GeneratingTriple(x, y, z, (r, s, t))
+        if G.classify_traces(a, b, g).kind == "full":
+            return GeneratingTriple(*map(G._canon, G.solve_trace_triple(a, b, g)), (r, s, t))
     raise Unrealizable(
         f"{G.descriptor()} has no generating triple of type ({r},{s},{t}): "
         f"every candidate trace triple generates a proper subgroup")

@@ -112,6 +112,14 @@ def proper_subgroup_bound(G):
     return max(borel, 2 * (G.q + 1) // G.d, 60)
 
 
+def trace_identity(G, a, b, g):
+    """Whether a**2 + b**2 + g**2 - abg = 4 in G's field: the singular
+    trace triples, those of pairs generating a structural subgroup."""
+    F = G.field
+    s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
+    return F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4)
+
+
 def classify_pair_brute(G, x, y):
     """PSL2 classification via BFS closure, independent of the trace
     machinery except for element orders.  The closure stops once it

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -18,7 +19,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from _oracles import random_subfield_sl2, random_twisted_pgl
+from _oracles import random_subfield_sl2, random_twisted_pgl, trace_identity
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "beauville",
                            "schemas", "cli_output.schema.json")
@@ -229,6 +230,18 @@ def test_triple_traces_mode(capsys):
     code, _ = _run_json(capsys, ["triple", "--group", "psl2:7",
                                  "--traces", "2,2,2"])
     assert code == 0
+
+
+@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:2^3"])
+def test_solve_traces_reads_singularity_and_orders_off_the_pair_class(descriptor):
+    # the oracle: the trace identity, and the orders of the solved matrices
+    G = parse_group(descriptor)
+    F = G.field
+    for a, b, g in itertools.product(F.elements(), repeat=3):
+        res, _ = cli._solve_traces(G, ",".join(map(F.format, (a, b, g))))
+        assert res["singular"] == trace_identity(G, a, b, g)
+        A, B, C = G.solve_trace_triple(a, b, g)
+        assert res["orders"] == [G.order_of(G._canon(m)) for m in (A, B, C)]
 
 
 def test_triple_traces_rejected_for_non_psl2(capsys):

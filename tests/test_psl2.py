@@ -10,7 +10,7 @@ from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
 from _oracles import (classify_pair_brute, crafted_psl2_pairs, order_of_brute,
-                      traces_by_order_brute)
+                      trace_identity, traces_by_order_brute)
 
 MACBEATH_SPECS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                   (5, 2), (7, 2), (101, 1)]
@@ -113,9 +113,11 @@ def test_unrealizable_order_rejected_with_divisor_analysis():
 
 def test_singular_examples_gf7():
     g = PSL2(7)
-    assert g.is_singular_triple(2, 2, 2)        # 4+4+4-8-4 = 0
-    assert not g.is_singular_triple(0, 0, 0)    # -4 != 0 mod 7
-    assert not g.is_singular_triple(3, 3, 3)    # 27-27-4 = 3 mod 7
+    for triple, singular in (((2, 2, 2), True),      # 4+4+4-8-4 = 0
+                             ((0, 0, 0), False),     # -4 != 0 mod 7
+                             ((3, 3, 3), False)):    # 27-27-4 = 3 mod 7
+        assert trace_identity(g, *triple) == singular
+        assert (g.classify_traces(*triple).kind == "structural") == singular
 
 
 # the classes every class-reduced pair reaches: the small closures give
@@ -131,29 +133,58 @@ EXHAUSTIVE_KINDS = {
 }
 
 
-@pytest.mark.parametrize("p,e", sorted(EXHAUSTIVE_KINDS))
-def test_singular_iff_structural_exhaustive(p, e):
-    # Every pair, reduced by simultaneous conjugation (x ranges over class
-    # representatives): the singular-trace predicate must match the BFS
-    # closure being a structural subgroup (cyclic or inside a Borel), and
-    # classify_pair must match the closure's structural class, which
-    # checks the size rule for small closures on every pair of these fields
-    g = PSL2(p, e)
+def _class_reduced_pairs(g):
+    """Every pair up to simultaneous conjugation: x a class representative."""
     reps = {}
     for m in g.elements():
         reps.setdefault(g.fingerprint(m), m)
-    elements = list(g.elements())
+    return [(x, y) for x in reps.values() for y in g.elements()]
+
+
+@pytest.mark.parametrize("p,e", sorted(EXHAUSTIVE_KINDS))
+def test_singular_iff_structural_exhaustive(p, e):
+    # Every pair, reduced by simultaneous conjugation (x ranges over class
+    # representatives): the trace identity must match the BFS closure being
+    # a structural subgroup (cyclic or inside a Borel) and classify_traces
+    # answering 'structural', and classify_pair must match the closure's
+    # structural class, which checks the size rule for small closures on
+    # every pair of these fields
+    g = PSL2(p, e)
     kinds = set()
-    for x in reps.values():
-        for y in elements:
-            lift = g._mat_mul(x, y)
-            singular = g.is_singular_triple(
-                g.trace(x), g.trace(y), g.field.add(lift[0], lift[3]))
-            brute = classify_pair_brute(g, x, y)
-            assert singular == (brute.kind == "structural"), (p, e, x, y)
-            assert g.classify_pair(x, y) == brute, (p, e, x, y)
-            kinds.add(str(brute))
+    for x, y in _class_reduced_pairs(g):
+        lift = g._mat_mul(x, y)
+        traces = (g.trace(x), g.trace(y), g.field.add(lift[0], lift[3]))
+        singular = trace_identity(g, *traces)
+        brute = classify_pair_brute(g, x, y)
+        assert singular == (brute.kind == "structural"), (p, e, x, y)
+        assert singular == (g.classify_traces(*traces, (x, y)).kind == "structural")
+        assert g.classify_pair(x, y) == brute, (p, e, x, y)
+        kinds.add(str(brute))
     assert kinds == EXHAUSTIVE_KINDS[(p, e)]
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3), (3, 2), (11, 1), (5, 2), (7, 2)])
+def test_fact_a_the_traces_alone_fix_the_class_and_orders(p, e):
+    # Macbeath's theorem, on which an exhausted triple sweep's nonexistence
+    # certificate rests: classified without its pair, a trace triple gives
+    # the class, subfield fields and orders of every pair with those traces
+    # (every class-reduced pair of the small fields; random and crafted
+    # pairs, with PSL and PGL subfield verdicts, of 5^2 and 7^2)
+    g = PSL2(p, e)
+    if e == 2 and p > 3:
+        pairs = crafted_psl2_pairs(g, random.Random(31 * p), n_random=300, n_special=60)
+    else:
+        pairs = _class_reduced_pairs(g)
+    kinds = Counter()
+    for x, y in pairs:
+        lift = g._mat_mul(x, y)
+        got = g.classify_traces(g.trace(x), g.trace(y), g.field.add(lift[0], lift[3]))
+        want = g.classify_pair(x, y)
+        assert got == want, (x, y)  # kind and subfield fields; orders apart
+        assert got.orders == (None if want.kind == "structural" else want.orders), (x, y)
+        kinds[str(want)] += 1
+    if e == 2 and p > 3:  # PSL2(5) = A5 takes that name
+        assert kinds["subfield(:1, pgl)"] and (p == 5 or kinds["subfield(:1, psl)"])
 
 
 # -- the trace-triple solver ----------------------------------------------------
@@ -262,8 +293,10 @@ def test_non_singular_triples_solve_to_non_scalar_matrices(p, e):
     for a in F.elements():
         for b in F.elements():
             for c in F.elements():
-                if g.is_singular_triple(a, b, c):
+                if trace_identity(g, a, b, c):
+                    assert g.classify_traces(a, b, c).kind == "structural"
                     continue
+                assert g.classify_traces(a, b, c).kind != "structural"
                 assert not scalars & set(g.solve_trace_triple(a, b, c))
                 solved += 1
     assert solved

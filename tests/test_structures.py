@@ -95,6 +95,27 @@ def test_psl2_7_hurwitz_triple():
         find_generating_triple(g, 2, 3, 5)
 
 
+def test_psl2_triple_refuses_an_unrealizable_order_before_any_torus_walk():
+    # 3 divides 8193 = 2**13 + 1 and 5 divides neither 8191 nor 8193
+    g = PSL2(2, 13)
+    with pytest.raises(Unrealizable) as exc:
+        find_generating_triple(g, 3, 5, 17)
+    assert str(exc.value) == ("order 5 not realizable in psl2:2^13: orders are 1, p = 2, "
+                              "divisors of 8191 and of 8193")
+    assert g._traces_by_order_cache is None
+
+
+def test_exhausted_psl2_sweep_solves_no_trace_triple(monkeypatch):
+    # every candidate is classified from its traces; only a generating
+    # triple, or a small-order one that needs a pair for its closure, is solved
+    g = PSL2(3, 4)
+    solve, calls = g.solve_trace_triple, []
+    monkeypatch.setattr(g, "solve_trace_triple", lambda *t: calls.append(t) or solve(*t))
+    with pytest.raises(Unrealizable, match="every candidate trace triple generates"):
+        find_generating_triple(g, 5, 8, 8)
+    assert calls == []
+
+
 def test_a5_has_no_order_7():
     with pytest.raises(Unrealizable):
         find_generating_triple(AlternatingGroup(5), 2, 3, 7)
