@@ -11,7 +11,8 @@ hashable element payload:
   read by each realization in closed form from invariants of x and
   memoized; there is no generic walk over the powers
 * ``sigma_classes(mask)`` -- the fingerprints of a mask's classes, for display
-* ``element_of_order(k)`` -- an element of order k, GroupError when none exists
+* ``check_order(k)`` -- GroupError, answered in closed form, unless some
+  element has order k >= 2
 * ``forced_share(r)`` -- why every two Sigma sets whose triples' orders the
   prime r divides share a class, in closed form, or None
 * ``census_closed_form()`` -- the pair census's key and pair counts, or None
@@ -87,6 +88,11 @@ class Group:
         raise NotImplementedError
 
     def prime_power_classes(self, a) -> int:
+        raise NotImplementedError
+
+    def check_order(self, k: int) -> None:
+        """GroupError unless some element has order k >= 2, decided in
+        closed form: no element is built or searched for."""
         raise NotImplementedError
 
     def forced_share(self, r: int) -> str | None:
@@ -283,10 +289,9 @@ class AbelianSquare(Group):
             bases = bases // r ** 3 * (r - 1) * (r * r - 1)
         return keys, bases
 
-    def element_of_order(self, k):
+    def check_order(self, k):
         if self.n % k:
             raise GroupError(f"order {k} does not divide n = {self.n}")
-        return (self.n // k, 0)
 
     def fingerprint(self, a):
         # conjugacy classes are singletons

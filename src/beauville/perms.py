@@ -382,12 +382,10 @@ class AlternatingGroup(_PermGroupBase):
             g = tuple(x if x > 1 else 1 - x for x in g)
         return g
 
-    def element_of_order(self, k):
-        part = order_partition(self.n, k, 0)
-        if part is None:
+    def check_order(self, k):
+        if order_partition(self.n, k, 0) is None:
             raise GroupError(
                 f"no even permutation of order {k} on {self.n} points")
-        return permutation_of_shape(self.n, part)
 
 
 class SymmetricGroup(_PermGroupBase):
@@ -425,13 +423,9 @@ class SymmetricGroup(_PermGroupBase):
         # r-cycles form one class
         return self._share_reason(r, True) if self.n < 2 * r else None
 
-    def element_of_order(self, k):
-        """A permutation of order k, even when one exists, else odd."""
-        for par in (0, 1):
-            part = order_partition(self.n, k, par)
-            if part is not None:
-                return permutation_of_shape(self.n, part)
-        raise GroupError(f"no permutation of order {k} on {self.n} points")
+    def check_order(self, k):
+        if all(order_partition(self.n, k, par) is None for par in (0, 1)):
+            raise GroupError(f"no permutation of order {k} on {self.n} points")
 
 
 def _canonical_conjugator_parity(a) -> int:

@@ -533,15 +533,6 @@ class PSL2(Group):
             return [self.field.two] if self.d == 1 else [self.field.two, self.field.minus_two]
         return self.traces_by_order()[k]
 
-    def element_of_order(self, k: int):
-        """A canonical witness of exact projective order k."""
-        if k == 1:
-            return self.identity()
-        if k == self.p:
-            return self._canon((1, 1, 0, 1))
-        a = self.traces_of_order(k)[0]
-        return self._canon((0, self.field.minus_one, 1, a))
-
     # -- text encoding ---------------------------------------------------------------
 
     def parse_element(self, text):

@@ -239,15 +239,16 @@ def find_generating_triple(G: Group, r: int, s: int, t: int,
     """
     if min(r, s, t) < 2:
         raise Unrealizable("generating-triple orders must all be >= 2")
-    if G.kind == "psl2":
-        return _psl2_triple(G, r, s, t)
-    try:  # each order must occur in G; x0 and y0 seed the permutation search
-        x0, y0, _ = (G.element_of_order(k) for k in (r, s, t))
+    try:  # each order must occur in G, refused in closed form
+        for k in (r, s, t):
+            G.check_order(k)
     except GroupError as exc:
         raise Unrealizable(str(exc)) from exc
+    if G.kind == "psl2":
+        return _psl2_triple(G, r, s, t)
     if G.kind == "abelian":
         return _abelian_triple(G, r, s, t)
-    return _perm_triple(G, x0, y0, r, s, t, seed, max_attempts)
+    return _perm_triple(G, r, s, t, seed, max_attempts)
 
 
 def _psl2_triple(G, r, s, t):
@@ -256,12 +257,7 @@ def _psl2_triple(G, r, s, t):
     only a generating one solved.  A generating triple is non-singular, so
     no matrix is +-I (proof in ``classify_traces``) and the solution has
     orders (r, s, t)."""
-    try:
-        for k in (r, s, t):  # refuse any of them before a torus walk
-            G.check_order(k)
-        cand = [G.traces_of_order(k) for k in (r, s, t)]
-    except GroupError as exc:
-        raise Unrealizable(str(exc)) from exc
+    cand = [G.traces_of_order(k) for k in (r, s, t)]
     for a, b, g in product(*cand):
         if G.classify_traces(a, b, g).kind == "full":
             return GeneratingTriple(*map(G._canon, G.solve_trace_triple(a, b, g)), (r, s, t))
@@ -270,9 +266,11 @@ def _psl2_triple(G, r, s, t):
         f"every candidate trace triple generates a proper subgroup")
 
 
-def _perm_triple(G, x0, y0, r, s, t, seed, max_attempts):
+def _perm_triple(G, r, s, t, seed, max_attempts):
     if G.kind == "symmetric":
         x0, y0 = _symmetric_shapes(G.n, r, s, t)
+    else:
+        x0, y0 = (permutation_of_shape(G.n, order_partition(G.n, k, 0)) for k in (r, s))
     rng = random.Random(seed)
     for _ in range(max_attempts):
         x = G.conjugate(G.random_element(rng), x0)
@@ -547,7 +545,7 @@ def _forced_failure(G, target1, target2):
     class that G forces."""
     try:
         for k in sorted(set(target1 + target2)):
-            G.element_of_order(k)
+            G.check_order(k)
     except GroupError as exc:
         return str(exc)
     primes1, primes2 = ({r for k in tau for r in prime_factors(k)} for tau in (target1, target2))

@@ -10,7 +10,7 @@ import numpy as np
 
 from beauville.fields import _is_irreducible, _poly_mulmod
 from beauville.counting import ClassPartition
-from beauville.groups import closure
+from beauville.groups import GroupError, closure
 from beauville.numutil import prime_factors
 from beauville.psl2 import SubgroupClass
 from beauville.structures import PairCensus, sigma_prime_fingerprints
@@ -92,6 +92,19 @@ def traces_by_order_brute(G):
         orders[a] = order
         table.setdefault(order, []).append(a)
     return table, orders
+
+
+def element_of_order(G, k):
+    """A witness of exact projective order k in PSL2 ``G``: the identity,
+    the unipotent [[1,1],[0,1]] for k = p, else the companion matrix
+    [[0,-1],[1,a]] of the first trace a of order k; GroupError from
+    ``check_order`` when no element has order k."""
+    if k == 1:
+        return G.identity()
+    if k == G.p:
+        return G._canon((1, 1, 0, 1))
+    a = G.traces_of_order(k)[0]
+    return G._canon((0, G.field.minus_one, 1, a))
 
 
 def order_of_brute(G, a):
@@ -478,8 +491,8 @@ def crafted_psl2_pairs(G, rng, n_random=300, n_special=40):
                     pairs.append((a, b))
     for k in (2, 3, 4, 5):
         try:
-            mk = G.element_of_order(k)
-        except Exception:
+            mk = element_of_order(G, k)
+        except GroupError:
             continue
         for _ in range(n_special // 2):
             pairs.append((mk, G.conjugate(G.random_element(rng), mk)))

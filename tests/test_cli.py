@@ -72,6 +72,16 @@ def test_triple_with_an_order_beyond_every_cycle_length_is_unrealizable(capsys, 
     assert code == 1 and doc["result"]["unrealizable"] is True
 
 
+def test_typed_random_search_refuses_an_absent_psl2_order_at_once(capsys):
+    # the order check is closed form: no torus of the 10^6-element field is walked
+    code, doc = _run_json(capsys, ["search", "--group", "psl2:1000003", "--strategy",
+                                   "random", "--type1", "2,3,7", "--type2", "3,3,4"])
+    assert code == 1 and not doc["result"]["found"]
+    assert doc["result"]["certificate"] == {"unrealizable": (
+        "order 4 not realizable in psl2:1000003: orders are 1, p = 1000003, "
+        "divisors of 500001 and of 500002")}
+
+
 def test_abelian_triple_of_a_type_other_than_n_n_n_is_unrealizable_at_once(capsys):
     # a generating pair of Zn x Zn is a basis, so only (n,n,n) occurs; no
     # sweep over the 9,000,000 elements of ab:3000 is made
@@ -843,6 +853,33 @@ PINNED_DIGESTS = [
     (["search", "--group", "alt:6", "--strategy", "random",
       "--type1", "4,4,5", "--type2", "3,5,5"],
      "cf2a141dd0e48aca4ce57a1572c288ab19d5220b9c53e81deea8a0969871be75"),
+    # order checks answered in closed form on every realization: generating
+    # triples of A_n, S_n and Zn x Zn from their shaped seeds, the refusal
+    # text of an order each group lacks (and of a Zn x Zn type whose orders
+    # exist but are not (n, n, n)), and typed random searches refused
+    # before any draw, on S_5 and without a torus walk on psl2:1000003
+    (["triple", "--group", "alt:7", "--r", "3", "--s", "5", "--t", "7"],
+     "a0384da75b3dd210f6fbd15ebd7357f6ef19d117869c1a1f5da860d8af89f30b"),
+    (["triple", "--group", "alt:8", "--r", "2", "--s", "7", "--t", "15"],
+     "289e517ebbc8104ac6497a960ef2416bbdad8f47ba350443783814b1dfd4625c"),
+    (["triple", "--group", "sym:6", "--r", "2", "--s", "5", "--t", "6"],
+     "0b843b70b75926271dea0fa0cd430293ea77cc73e0801b4b5d3eff383ffb3f6d"),
+    (["triple", "--group", "ab:7", "--r", "7", "--s", "7", "--t", "7"],
+     "3cbfbc458e8d81894e9ba4255a15697c344db20a1a5e95475c51d3bde0b725eb"),
+    (["triple", "--group", "alt:5", "--r", "2", "--s", "4", "--t", "5"],
+     "de7d17fddcb70048dd9f7e85c7f3c487e486de78ee32f18fcc177696a95520a2"),
+    (["triple", "--group", "sym:5", "--r", "2", "--s", "7", "--t", "5"],
+     "bb2386fb7f3681c638ecd026b43102acd08abc4955b47127405d493f7666688e"),
+    (["triple", "--group", "ab:6", "--r", "4", "--s", "3", "--t", "6"],
+     "6f03e6a09f1fba1a9416a69dab89ee156a9813328d9db7730bdd10bcc4ca81c7"),
+    (["triple", "--group", "ab:6", "--r", "2", "--s", "3", "--t", "6"],
+     "2902f583063fa07978a8b8e7eafc5fd2f79d872f32872d3c22788f6af567a0a6"),
+    (["search", "--group", "sym:5", "--strategy", "random",
+      "--type1", "2,5,7", "--type2", "3,4,5"],
+     "40c4e27afcbe4e33a4e5e603a61904ac90d26677e025994eeeab262fdecaba10"),
+    (["search", "--group", "psl2:1000003", "--strategy", "random",
+      "--type1", "2,3,7", "--type2", "3,3,4"],
+     "bdf2fd286b7c7c490af839a2057141757e6cd7041d3cf6c0b123a368875204a4"),
 ]
 
 

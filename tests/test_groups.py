@@ -47,14 +47,32 @@ def test_abelian_order_examples():
     assert g6.order_of((2, 0)) == 3
 
 
-def test_abelian_element_of_order_exists_iff_the_order_divides_n():
-    g = AbelianSquare(12)
-    for k in range(1, 13):
-        if 12 % k:
-            with pytest.raises(GroupError, match=f"order {k} does not divide n = 12"):
-                g.element_of_order(k)
+def _refusal_text(g, k):
+    """The GroupError text each realization gives for an order it lacks."""
+    if g.kind == "abelian":
+        return f"order {k} does not divide n = {g.n}"
+    if g.kind == "alternating":
+        return f"no even permutation of order {k} on {g.n} points"
+    if g.kind == "symmetric":
+        return f"no permutation of order {k} on {g.n} points"
+    return (f"order {k} not realizable in {g.descriptor()}: orders are 1, p = {g.p}, "
+            f"divisors of {g.split_order} and of {g.nonsplit_order}")
+
+
+@pytest.mark.parametrize("desc", [f"ab:{n}" for n in range(2, 13)]
+                         + [f"{kind}:{n}" for kind in ("alt", "sym") for n in range(3, 8)]
+                         # the PSL2 fields of test_psl2.WITNESS_SPECS
+                         + ["psl2:7", "psl2:13", "psl2:2^3", "psl2:3^2", "psl2:5^2"])
+def test_check_order_passes_exactly_for_the_element_orders(desc):
+    g = parse_group(desc)
+    present = {g.order_of(m) for m in g.elements()}
+    for k in range(2, math.lcm(*present) + 3):
+        if k in present:
+            assert g.check_order(k) is None
         else:
-            assert g.order_of(g.element_of_order(k)) == k
+            with pytest.raises(GroupError) as exc:
+                g.check_order(k)
+            assert str(exc.value) == _refusal_text(g, k)
 
 
 def test_abelian_generates_examples():

@@ -374,15 +374,7 @@ def test_even_order_partition_exactness():
         assert claimed == present
 
 
-def test_symmetric_element_of_order_falls_back_to_odd():
-    g = SymmetricGroup(5)
-    assert parity(g.element_of_order(3)) == 0
-    for k in (4, 6):  # only odd permutations of S5 have these orders
-        m = g.element_of_order(k)
-        assert perm_order(m) == k and parity(m) == 1
-    with pytest.raises(GroupError, match="no permutation of order 7"):
-        g.element_of_order(7)
-    # odd shapes against a brute scan of odd element orders
+def test_odd_order_partition_matches_a_brute_scan_of_odd_orders():
     for n in (5, 6):
         present = {perm_order(m) for m in SymmetricGroup(n).elements() if parity(m)}
         claimed = {k for k in range(1, math.lcm(*range(1, n + 1)) + 1)

@@ -384,7 +384,10 @@ def test_typed_random_search_with_coprime_types_computes_no_sigma(monkeypatch):
     (AlternatingGroup(7), "auto", ((3, 3, 4), (3, 3, 11)),
      "no even permutation of order 11 on 7 points"),
     (AbelianSquare(6), "random", ((3, 3, 4), (6, 6, 6)), "order 4 does not divide n = 6"),
-], ids=["alt:7", "ab:6"])
+    (PSL2(1000003), "random", ((2, 3, 7), (3, 3, 4)),
+     "order 4 not realizable in psl2:1000003: orders are 1, p = 1000003, "
+     "divisors of 500001 and of 500002"),
+], ids=["alt:7", "ab:6", "psl2:1000003"])
 def test_typed_random_search_certifies_an_order_the_group_lacks(group, strategy, targets,
                                                                 message):
     # without the check every attempt draws in vain and the search ends
@@ -393,6 +396,9 @@ def test_typed_random_search_certifies_an_order_the_group_lacks(group, strategy,
     assert not out.found and out.quadruple is None
     assert out.certificate == {"unrealizable": message}
     assert list(out.stats) == ["strategy", "elapsed"] and out.stats["strategy"] == "random"
+    # the check is closed form: orders 2, 3 and 7 exist without a walk of
+    # the PSL2 tori over a field of 10^6 elements
+    assert getattr(group, "_traces_by_order_cache", None) is None
 
 
 @pytest.mark.parametrize("descriptor,targets,r", [
