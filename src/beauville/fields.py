@@ -183,7 +183,8 @@ class GF:
         self.p = p
         self.e = e
         self.q = q
-        self._divisors = [d for d in range(1, e + 1) if e % d == 0]  # subfield degrees
+        # subfield degree d -> (q - 1)/(p**d - 1), for subfield_degree
+        self._subfield_steps = [(d, (q - 1) // (p**d - 1)) for d in range(1, e + 1) if e % d == 0]
         self.modulus = find_irreducible(p, e)
         if e > 1:
             self._build_tables()
@@ -354,11 +355,13 @@ class GF:
     # -- subfields -----------------------------------------------------------
 
     def subfield_degree(self, a: int) -> int:
-        """Smallest d dividing e with a in GF(p**d)."""
-        for d in self._divisors:
-            if self.frobenius(a, d) == a:
-                return d
-        raise AssertionError("element fixed by no subfield Frobenius")
+        """Smallest d dividing e with a in GF(p**d), read from log a: the
+        units of GF(p**d) are those of order dividing p**d - 1, so g**k is
+        one iff (q - 1)/(p**d - 1) divides k (0 lies in the prime field)."""
+        if a == 0 or self.e == 1:
+            return 1
+        k = self._log[a]
+        return next(d for d, step in self._subfield_steps if k % step == 0)
 
     # -- iteration / parsing ---------------------------------------------------
 

@@ -92,7 +92,15 @@ class Group:
 
     def check_order(self, k: int) -> None:
         """GroupError unless some element has order k >= 2, decided in
-        closed form: no element is built or searched for."""
+        closed form: no element is built or searched for.  Every k < 2 is
+        refused alike on every realization."""
+        reason = (f"order {k} asked of {self.descriptor()}: only orders >= 2 are checked"
+                  if k < 2 else self._order_refusal(k))
+        if reason:
+            raise GroupError(reason)
+
+    def _order_refusal(self, k: int) -> str | None:
+        """Why no element has the order k >= 2, or None when one has."""
         raise NotImplementedError
 
     def forced_share(self, r: int) -> str | None:
@@ -289,9 +297,8 @@ class AbelianSquare(Group):
             bases = bases // r ** 3 * (r - 1) * (r * r - 1)
         return keys, bases
 
-    def check_order(self, k):
-        if self.n % k:
-            raise GroupError(f"order {k} does not divide n = {self.n}")
+    def _order_refusal(self, k):
+        return f"order {k} does not divide n = {self.n}" if self.n % k else None
 
     def fingerprint(self, a):
         # conjugacy classes are singletons

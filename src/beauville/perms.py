@@ -382,10 +382,9 @@ class AlternatingGroup(_PermGroupBase):
             g = tuple(x if x > 1 else 1 - x for x in g)
         return g
 
-    def check_order(self, k):
-        if order_partition(self.n, k, 0) is None:
-            raise GroupError(
-                f"no even permutation of order {k} on {self.n} points")
+    def _order_refusal(self, k):
+        return (f"no even permutation of order {k} on {self.n} points"
+                if order_partition(self.n, k, 0) is None else None)
 
 
 class SymmetricGroup(_PermGroupBase):
@@ -423,9 +422,9 @@ class SymmetricGroup(_PermGroupBase):
         # r-cycles form one class
         return self._share_reason(r, True) if self.n < 2 * r else None
 
-    def check_order(self, k):
-        if all(order_partition(self.n, k, par) is None for par in (0, 1)):
-            raise GroupError(f"no permutation of order {k} on {self.n} points")
+    def _order_refusal(self, k):
+        return (f"no permutation of order {k} on {self.n} points"
+                if all(order_partition(self.n, k, par) is None for par in (0, 1)) else None)
 
 
 def _canonical_conjugator_parity(a) -> int:

@@ -76,7 +76,8 @@ class PSL2(Group):
         self._split_factors = prime_factors(self.split_order)
         self._nonsplit_factors = prime_factors(self.nonsplit_order)
         self._traces_by_order_cache = None
-        self._order_by_trace: dict[int, int] = {}  # filled by _semisimple_order
+        # trace -> projective order: +-2 seeded, the rest filled by _semisimple_order
+        self._order_by_trace = dict.fromkeys((field.two, field.minus_two), p)
         self._prime_trace: dict[int, int] = {}  # prime r -> an order-r trace
 
     def descriptor(self):
@@ -101,7 +102,8 @@ class PSL2(Group):
     def multiply(self, m, n):
         """``_canon(_mat_mul(m, n))`` in one pass: residues mod p on a prime
         field, the product and sum rows of ``_product_tables`` on an
-        extension field with q <= PRODUCT_TABLE_Q, else that expression.
+        extension field with q <= PRODUCT_TABLE_Q, else the logs of
+        ``_log_tables`` when no entry is 0 (that expression when one is).
         The top row of a det-1 matrix is nonzero, so its first nonzero entry
         fixes the sign, as in ``_canon`` (p is odd when e = 1)."""
         a, b, c, d = m
@@ -114,7 +116,22 @@ class PSL2(Group):
                 return -r0 % p, -r1 % p, -r2 % p, -r3 % p
             return r0, r1, r2, r3
         if self.q > PRODUCT_TABLE_Q:
-            return self._canon(self._mat_mul(m, n))
+            if 0 in m or 0 in n:
+                return self._canon(self._mat_mul(m, n))
+            log, exp, zech, neg = self._log_tables
+            la, lb, lc, ld = log[a], log[b], log[c], log[d]
+            lx, ly, lz, lw = log[x], log[y], log[z], log[w]
+            if zech is None:  # p = 2: a sum is an XOR, and the sign is moot
+                return (exp[la + lx] ^ exp[lb + lz], exp[la + ly] ^ exp[lb + lw],
+                        exp[lc + lx] ^ exp[ld + lz], exp[lc + ly] ^ exp[ld + lw])
+            # g**u + g**v = g**(u + zech[v - u])
+            u0, u1, u2, u3 = la + lx, la + ly, lc + lx, lc + ly
+            r0, r1 = exp[u0 + zech[lb + lz - u0]], exp[u1 + zech[lb + lw - u1]]
+            r2, r3 = exp[u2 + zech[ld + lz - u2]], exp[u3 + zech[ld + lw - u3]]
+            v = r0 or r1
+            if v > neg[v]:
+                return neg[r0], neg[r1], neg[r2], neg[r3]
+            return r0, r1, r2, r3
         mul, add, neg = self._product_tables
         ma, mb, mc, md = mul[a], mul[b], mul[c], mul[d]
         r0, r1 = add[ma[x]][mb[z]], add[ma[y]][mb[w]]
@@ -132,6 +149,18 @@ class PSL2(Group):
         return ([[F.mul(a, x) for x in els] for a in els],
                 [[F.add(a, x) for x in els] for a in els],
                 [F.neg(a) for a in els])
+
+    @cached_property
+    def _log_tables(self):
+        """(log, exp, zech, neg) of the field for ``multiply`` past
+        PRODUCT_TABLE_Q, read with no reduction mod n = q - 1: a product's log
+        u lies in [0, 2n - 2] and v - u in [2 - 2n, 2n - 2], so exp spans 3n,
+        zech repeats 4 times, and 1 + g**k = 0 reads 3n, where exp reads 0."""
+        F, n = self.field, self.q - 1
+        if self.p == 2:
+            return F._log, F._exp, None, None
+        zech = [3 * n if k < 0 else k for k in F._zech]
+        return F._log, F._exp[:n] * 3 + [0] * (2 * n), zech * 4, F._neg
 
     def inverse(self, m):
         return self._canon(self._mat_inv(m))
@@ -155,10 +184,6 @@ class PSL2(Group):
 
     # -- trace machinery --------------------------------------------------------
 
-    def _is_pm2(self, a):
-        F = self.field
-        return a == F.two or a == F.minus_two
-
     def lucas_trace(self, k: int, a):
         """Trace of the k-th power of an element of trace a (Lucas V_k)."""
         F = self.field
@@ -173,27 +198,26 @@ class PSL2(Group):
         return v0
 
     def _semisimple_order(self, a) -> int:
-        """Projective order of the elements of trace a (a != +-2), memoized
-        by trace.  The torus is split iff V_{(q-1)/d}(a) = +-2: a split x
+        """Projective order of the elements of trace a (a != +-2), put in
+        the memo.  The torus is split iff V_{(q-1)/d}(a) = +-2: a split x
         has x**((q-1)/d) = +-I, and a non-split x with that power +-I has
         order dividing the coprime (q-1)/d and (q+1)/d, so a = +-2."""
-        order = self._order_by_trace.get(a)
-        if order is not None:
-            return order
-        if self._is_pm2(self.lucas_trace(self.split_order, a)):
+        pm2 = (self.field.two, self.field.minus_two)
+        if self.lucas_trace(self.split_order, a) in pm2:
             m, factors = self.split_order, self._split_factors
         else:
             m, factors = self.nonsplit_order, self._nonsplit_factors
         order = m
         for r in factors:
-            while order % r == 0 and self._is_pm2(self.lucas_trace(order // r, a)):
+            while order % r == 0 and self.lucas_trace(order // r, a) in pm2:
                 order //= r
         self._order_by_trace[a] = order
         return order
 
     def _trace_order(self, a) -> int:
-        """Projective order of the elements of trace a other than +-I."""
-        return self.p if self._is_pm2(a) else self._semisimple_order(a)
+        """Projective order of the elements of trace a other than +-I: a
+        read of the memo, which a semisimple trace misses once."""
+        return self._order_by_trace.get(a) or self._semisimple_order(a)
 
     def order_of(self, m):
         if m == (1, 0, 0, 1):
@@ -211,29 +235,42 @@ class PSL2(Group):
         return "split" if self.split_order % order == 0 else "nonsplit"
 
     def prime_power_classes(self, m):
-        """Mask of the classes of the prime-order powers of m: a bit ("r", r)
-        for each prime r dividing a semisimple order, memoized by the order,
-        and the unipotent classes read in closed form.
+        """Mask of the classes of the prime-order powers of m, memoized by
+        the order of m unless m is unipotent with p odd and e even: a bit
+        ("r", r) for each prime r dividing a semisimple order, and the
+        unipotent classes read in closed form.
 
-        Proof.  For a prime r != p dividing |m|, the order-r powers of m fill
-        the order-r subgroup of a cyclic torus, into which every element of
-        order r is conjugate.  A unipotent m is conjugate to [[1, u], [0, 1]],
-        whose class is the square class of u (one class for p = 2), and its
-        powers are [[1, ku], [0, 1]], k in F_p*: all squares in F_q when e is
-        even, non-squares among them when e is odd (k**((q-1)/2) = (-1)**e).
+        Proof (Fact B).  For a prime r != p dividing |m|, the order-r powers
+        of m fill the order-r subgroup of a cyclic torus, into which every
+        element of order r is conjugate.  A unipotent m is conjugate to
+        [[1, u], [0, 1]], whose class is the square class of u (one class for
+        p = 2), and its powers are [[1, ku], [0, 1]], k in F_p*: all squares
+        in F_q when e is even, non-squares among them when e is odd
+        (k**((q-1)/2) = (-1)**e).  So only the unipotent m with p odd and e
+        even have a mask that their order does not fix: their own class.
         """
         order = self.order_of(m)
-        if order == self.p:
-            if self.d == 2 and self.e % 2:
-                return self._sigma_mask((("u", 0), ("u", 1)))
-            return self._sigma_mask((self.fingerprint(m),))
         sigma = self._sigma_memo.get(order)
-        if sigma is None:
+        if sigma is not None:
+            return sigma
+        if order == self.p:
+            if self.d == 2 and self.e % 2 == 0:  # the class of m, which its order does not fix
+                return self._sigma_mask((self.fingerprint(m),))
+            classes = (("u", 0), ("u", 1)) if self.d == 2 else (self.fingerprint(m),)
+            sigma = self._sigma_mask(classes)
+        else:
             for r in prime_factors(order):  # an order-r trace, for sigma_classes
                 self._prime_trace.setdefault(r, self.lucas_trace(order // r, self.trace(m)))
             sigma = self._sigma_mask(("r", r) for r in prime_factors(order))
-            self._sigma_memo[order] = sigma
+        self._sigma_memo[order] = sigma
         return sigma
+
+    def sigma_of_orders(self, orders):
+        """The Sigma mask of a pair whose x, y, xy have these orders, in any
+        order, from the ``prime_power_classes`` memo alone, or None if one
+        misses: a memoized order fixes the mask of its elements (Fact B)."""
+        a, b, c = map(self._sigma_memo.get, orders)
+        return None if None in (a, b, c) else a | b | c
 
     def sigma_classes(self, mask):
         """The fingerprints of a mask's classes.  A bit ("r", r) lists the
@@ -267,7 +304,7 @@ class PSL2(Group):
             return ("1",)
         F = self.field
         a = self.trace(m)
-        if self._is_pm2(a):
+        if a in (F.two, F.minus_two):
             if self.p == 2:
                 return ("u",)
             # take the trace-(+2) lift; its nilpotent part N = M - I has
@@ -305,17 +342,29 @@ class PSL2(Group):
                 yield (0, b, c, d)
 
     def random_element(self, rng):
-        F = self.field
+        """Uniform: (a, b) != 0 drawn first, then the free one of c and d,
+        each draw the ``randrange(q)`` of ``GF.random``; a prime field works
+        on residues, the sign fixed as in ``multiply``."""
+        q, draw = self.q, rng.randrange
         while True:
-            a, b = F.random(rng), F.random(rng)
+            a, b = draw(q), draw(q)
             if a or b:
                 break
+        if self.e == 1:
+            if a:
+                c = draw(q)
+                d = pow(a, q - 2, q) * (1 + b * c) % q
+            else:
+                c, d = -pow(b, q - 2, q) % q, draw(q)
+            if (a or b) > q >> 1:
+                return -a % q, -b % q, -c % q, -d % q
+            return a, b, c, d
+        F = self.field
         if a:
-            c = F.random(rng)
+            c = draw(q)
             d = F.mul(F.inv(a), F.add(1, F.mul(b, c)))
         else:
-            c = F.neg(F.inv(b))
-            d = F.random(rng)
+            c, d = F.neg(F.inv(b)), draw(q)
         return self._canon((a, b, c, d))
 
     # -- the trace-triple solver -----------------------------------------------------
@@ -389,7 +438,12 @@ class PSL2(Group):
     # -- subgroup classification -----------------------------------------------------
 
     def classify_pair(self, x, y) -> SubgroupClass:
-        """``classify_traces`` of the lifts x, y and xy, its closure run on (x, y)."""
+        """``classify_traces`` of the lifts x, y and xy, its closure run on
+        (x, y); residues mod p on a prime field."""
+        if self.e == 1:
+            p = self.p
+            g = (x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]) % p
+            return self.classify_traces((x[0] + x[3]) % p, (y[0] + y[3]) % p, g, (x, y))
         F = self.field
         g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
                   F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
@@ -438,17 +492,22 @@ class PSL2(Group):
         ``order_of``, and |xy| = 1 iff y = x**-1, else the order of its trace.
         """
         F = self.field
-        s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
-        if F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4):
+        if self.e == 1:
+            singular = (a * a + b * b + g * g - a * b * g - 4) % self.p == 0
+        else:
+            s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
+            singular = F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4)
+        if singular:
             if pair is None:
                 return SubgroupClass("structural")
             x, y = pair
             xy = 1 if y == self.inverse(x) else self._trace_order(g)
             return SubgroupClass("structural", orders=(self.order_of(x), self.order_of(y), xy))
-        orders = tuple(map(self._trace_order, (a, b, g)))
+        order = self._trace_order
+        orders = (order(a), order(b), order(g))
         if orders.count(2) >= 2:
             return SubgroupClass("dihedral", orders=orders)
-        if set(orders) <= {2, 3, 4} or set(orders) <= {2, 3, 5}:
+        if max(orders) <= 5 and (4 not in orders or 5 not in orders):  # in {2,3,4} or {2,3,5}
             if pair is None:
                 pair = tuple(map(self._canon, self.solve_trace_triple(a, b, g)[:2]))
             n = len(closure(self, pair, stop_above=60))
@@ -502,8 +561,7 @@ class PSL2(Group):
             memo = self._order_by_trace
             table: dict[int, list[int]] = {}
             for m in (self.split_order, self.nonsplit_order):
-                a0 = next(a for a in F.elements()
-                          if not self._is_pm2(a) and self._semisimple_order(a) == m)
+                a0 = next(a for a in F.elements() if self._trace_order(a) == m)
                 v0, v1 = F.two, a0
                 for k in range(1, m // 2 + 1):
                     order = m // math.gcd(k, m)
@@ -517,13 +575,13 @@ class PSL2(Group):
             self._traces_by_order_cache = dict(sorted(table.items(), key=lambda kv: kv[1][0]))
         return self._traces_by_order_cache
 
-    def check_order(self, k: int):
-        """GroupError, found without a torus walk, unless k is p or a divisor
-        k > 1 of a torus order: the tori are cyclic, so these are the orders > 1."""
-        if k < 2 or k != self.p and self.split_order % k and self.nonsplit_order % k:
-            raise GroupError(f"order {k} not realizable in {self.descriptor()}: orders are 1, "
-                             f"p = {self.p}, divisors of {self.split_order} and of "
-                             f"{self.nonsplit_order}")
+    def _order_refusal(self, k: int):
+        """Found without a torus walk: the orders >= 2 are p and the
+        divisors > 1 of the torus orders, the tori being cyclic."""
+        if k != self.p and self.split_order % k and self.nonsplit_order % k:
+            return (f"order {k} not realizable in {self.descriptor()}: orders are 1, "
+                    f"p = {self.p}, divisors of {self.split_order} and of {self.nonsplit_order}")
+        return None
 
     def traces_of_order(self, k: int) -> list[int]:
         """SL2 traces of the elements of exact projective order k, in

@@ -100,26 +100,30 @@ def is_hurwitz_psl2(p: int, e: int) -> bool:
 # triple types and Sigma sets
 # ---------------------------------------------------------------------------
 
-def sigma_prime_fingerprints(G: Group, x, y) -> int:
+def sigma_prime_fingerprints(G: Group, x, y, orders=None) -> int:
     """Mask, over G's class index, of the prime-order elements among all
     powers of x, y and z = (x*y)**-1.  Two triples have trivially
     intersecting Sigma sets exactly when these masks are disjoint; masks of
     different handles are never mixed, as with payloads.  z and x*y have the
-    same powers, so x*y stands for z."""
+    same powers, so x*y stands for z.  ``orders``, |x|, |y| and |xy| in any
+    order, lets PSL2 answer from its memo by order (``sigma_of_orders``)."""
+    if orders and G.kind == "psl2" and (sigma := G.sigma_of_orders(orders)) is not None:
+        return sigma
     return (G.prime_power_classes(x) | G.prime_power_classes(y)
             | G.prime_power_classes(G.multiply(x, y)))
 
 
 def shared_classes(G: Group, first, second, fastpath: bool = True):
-    """(coprime, shared) for pairs (x, y, orders), the orders of x, y, x*y or
-    None: ``shared`` is the mask (over G's class index; ``G.sigma_classes``
-    decodes it) of what both Sigma sets hold, 0 iff condition (iii) holds.
+    """(coprime, shared) for pairs (x, y, orders), the orders of x, y, x*y
+    in any order, or None: ``shared`` is the mask (over G's class index;
+    ``G.sigma_classes`` decodes it) of what both Sigma sets hold, 0 iff
+    condition (iii) holds.
     A Sigma class has prime order dividing its triple's order product, so
     coprime products decide it without Sigma (``coprime``)."""
     (x1, y1, o1), (x2, y2, o2) = first, second
     if fastpath and o1 and o2 and math.gcd(math.prod(o1), math.prod(o2)) == 1:
         return True, 0
-    return False, sigma_prime_fingerprints(G, x1, y1) & sigma_prime_fingerprints(G, x2, y2)
+    return False, sigma_prime_fingerprints(G, x1, y1, o1) & sigma_prime_fingerprints(G, x2, y2, o2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +467,7 @@ def pair_census(G: Group, pair_cap: int = PAIR_CAP) -> PairCensus:
             if not gen:
                 continue
             gen_pairs += size
-            sig = sigma_prime_fingerprints(G, x, y)
+            sig = sigma_prime_fingerprints(G, x, y, orders)
             weights[sig] = weights.get(sig, 0) + cls.size * size
             examples.setdefault((sig, tuple(sorted(orders))), (x, y))
     G._census = PairCensus(weights, examples, len(reps) * G.order, gen_pairs, len(reps), tested)

@@ -80,14 +80,15 @@ def traces_by_order_brute(G):
     descent from the order of its torus; the torus is split when the
     eigenvalue equation x**2 - a*x + 1 = 0 has a root in GF(q)."""
     F = G.field
+    pm2 = (F.two, F.minus_two)
     table, orders = {}, {}
     for a in F.elements():
-        if G._is_pm2(a):
+        if a in pm2:
             continue
         m = G.split_order if F.solve_quadratic(1, F.neg(a), 1) else G.nonsplit_order
         order = m
         for r in prime_factors(m):
-            while order % r == 0 and G._is_pm2(G.lucas_trace(order // r, a)):
+            while order % r == 0 and G.lucas_trace(order // r, a) in pm2:
                 order //= r
         orders[a] = order
         table.setdefault(order, []).append(a)
@@ -105,6 +106,24 @@ def element_of_order(G, k):
         return G._canon((1, 1, 0, 1))
     a = G.traces_of_order(k)[0]
     return G._canon((0, G.field.minus_one, 1, a))
+
+
+def random_element_generic(G, rng):
+    """A uniform element of PSL2 ``G`` drawn through the field's methods,
+    as ``PSL2.random_element`` draws on an extension field: (a, b) != 0,
+    then c when a != 0 (d is forced), else d (c = -1/b)."""
+    F = G.field
+    while True:
+        a, b = F.random(rng), F.random(rng)
+        if a or b:
+            break
+    if a:
+        c = F.random(rng)
+        d = F.mul(F.inv(a), F.add(1, F.mul(b, c)))
+    else:
+        c = F.neg(F.inv(b))
+        d = F.random(rng)
+    return G._canon((a, b, c, d))
 
 
 def order_of_brute(G, a):

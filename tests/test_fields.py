@@ -159,6 +159,15 @@ def test_is_square_and_subfield_degree_examples():
     assert degrees == {1, 2, 3, 6}
 
 
+@pytest.mark.parametrize("p,e", [(2, 4), (2, 6), (2, 7), (3, 4), (3, 5), (5, 2), (7, 2)])
+def test_subfield_degree_matches_the_frobenius_definition(p, e):
+    # the least d | e whose Frobenius a -> a**(p**d) fixes a, on every element
+    F = gf(p, e)
+    for a in F.elements():
+        d = next(d for d in range(1, e + 1) if e % d == 0 and F.pow(a, p**d) == a)
+        assert F.subfield_degree(a) == d, a
+
+
 @given(st.sampled_from(TEST_SPECS), st.data())
 @settings(max_examples=60, deadline=None)
 def test_pow_matches_repeated_multiplication(spec, data):

@@ -75,6 +75,17 @@ def test_check_order_passes_exactly_for_the_element_orders(desc):
             assert str(exc.value) == _refusal_text(g, k)
 
 
+@pytest.mark.parametrize("desc", ["ab:6", "alt:5", "sym:4", "psl2:7"])
+def test_check_order_refuses_every_k_below_2_alike(desc):
+    # order 1 is the identity's alone: no realization says it is realizable,
+    # and none says it is not while listing 1 among its orders
+    g = parse_group(desc)
+    for k in (1, 0, -3):
+        with pytest.raises(GroupError) as exc:
+            g.check_order(k)
+        assert str(exc.value) == f"order {k} asked of {desc}: only orders >= 2 are checked"
+
+
 def test_abelian_generates_examples():
     g = AbelianSquare(5)
     assert g.generates((1, 0), (0, 1))

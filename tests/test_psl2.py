@@ -10,7 +10,8 @@ from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
 from _oracles import (classify_pair_brute, crafted_psl2_pairs, element_of_order,
-                      order_of_brute, trace_identity, traces_by_order_brute)
+                      order_of_brute, random_element_generic, trace_identity,
+                      traces_by_order_brute)
 
 MACBEATH_SPECS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                   (5, 2), (7, 2), (101, 1)]
@@ -39,9 +40,10 @@ def test_unipotent_order_is_p():
 def test_order_memo_filled_by_traces_by_order_matches_brute(p, e):
     g = PSL2(p, e)
     by_order = g.traces_by_order()
-    # the scan memoized the order of every semisimple trace ...
-    semisimple = [a for a in g.field.elements() if not g._is_pm2(a)]
-    assert sorted(g._order_by_trace) == semisimple
+    # the scan memoized the order of every semisimple trace, beside the
+    # seeded unipotent traces +-2 ...
+    assert sorted(g._order_by_trace) == list(g.field.elements())
+    assert g._order_by_trace[g.field.two] == g._order_by_trace[g.field.minus_two] == p
     assert all(g._order_by_trace[a] == k for k, traces in by_order.items() for a in traces)
     # ... and order_of answers every element of every class from it
     for m in g.elements():
@@ -93,7 +95,8 @@ def test_unrealizable_order_refused_before_any_torus_walk():
         orders = {p} | set(traces_by_order_brute(PSL2(p, e))[0])
         for k in sorted(set(range(p**e + 2)) - orders):
             g = PSL2(p, e)
-            with pytest.raises(GroupError, match="not realizable"):
+            text = "not realizable" if k >= 2 else "only orders >= 2"
+            with pytest.raises(GroupError, match=text):
                 g.traces_of_order(k)
             assert g._traces_by_order_cache is None
     g = PSL2(1000003)  # neither 500001 nor 500002 is a multiple of 1000
@@ -481,9 +484,10 @@ def test_product_matches_canon_of_mat_mul_on_every_pair(p, e):
 
 
 @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 6), (101, 1),
-                                 (1000003, 1), (2, 7), (3, 5), (2, 13)])
+                                 (1000003, 1), (2, 7), (3, 5), (2, 13), (2, 8), (5, 4)])
 def test_product_matches_canon_of_mat_mul_on_random_pairs(p, e):
-    # table path up to q = 64, prime path with a large p, generic path past 64
+    # table path up to q = 64, prime path with a large p, log path past 64
+    # (the expression itself when an entry is 0)
     g, rng = PSL2(p, e), random.Random(p ** e)
     for _ in range(3000):
         m, n = g.random_element(rng), g.random_element(rng)
@@ -502,4 +506,38 @@ def test_traces_by_order_matches_per_trace_ladder_scan(p, e):
     g = PSL2(p, e)
     table, orders = traces_by_order_brute(g)
     assert list(g.traces_by_order().items()) == list(table.items())
-    assert g._order_by_trace == orders
+    assert g._order_by_trace == {**orders, g.field.two: p, g.field.minus_two: p}
+
+
+# -- the prime-field draw and classifier -------------------------------------------
+
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (101, 1), (1009, 1), (2, 7), (3, 5)])
+def test_draw_matches_the_field_generic_draw(p, e):
+    # the same elements from the same randrange calls: a Monte Carlo stream
+    # drawn through residues (or randrange(q) on an extension field) is the
+    # one drawn through GF methods
+    g = PSL2(p, e)
+    for seed in range(1000):
+        fused, generic = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert g.random_element(fused) == random_element_generic(g, generic)
+        assert fused.getstate() == generic.getstate()
+
+
+def _classify_against_bfs(g, pairs):
+    for x, y in pairs:
+        cls = g.classify_pair(x, y)
+        assert cls == classify_pair_brute(g, x, y), (x, y)
+        assert cls.orders == (order_of_brute(g, x), order_of_brute(g, y),
+                              order_of_brute(g, g.multiply(x, y))), (x, y)
+
+
+def test_prime_field_classifier_matches_the_bfs_oracle_on_every_pair_of_psl2_7():
+    g = PSL2(7)
+    els = list(g.elements())
+    _classify_against_bfs(g, ((x, y) for x in els for y in els))
+
+
+def test_prime_field_classifier_matches_the_bfs_oracle_on_random_pairs_of_psl2_101():
+    g, rng = PSL2(101), random.Random(101)
+    _classify_against_bfs(g, [(g.random_element(rng), g.random_element(rng)) for _ in range(2000)])

@@ -252,6 +252,35 @@ def test_sigma_key_fixes_prime_power_classes_of_every_element(descriptor):
         assert g.sigma_classes(g.prime_power_classes(x)) == prime_power_walk(g, x)
 
 
+@pytest.mark.parametrize("descriptor", ["psl2:7", "psl2:11", "psl2:2^3", "psl2:2^4",
+                                        "psl2:3^2", "psl2:5^2", "psl2:7^2", "psl2:3^3"])
+def test_sigma_from_pair_orders_equals_the_element_path(descriptor):
+    # every generating pair up to simultaneous conjugation (x a class
+    # representative, y one per C_G(x)-orbit), under which both paths and
+    # the walk are invariant, its orders given as read_pair returns them,
+    # sorted and reversed.  A cold handle is asked by orders first, so
+    # misses, partly filled memos and hits all occur; a warm one after the
+    # element path has run on every pair.  On 3^2, 5^2 and 7^2 (p odd, e
+    # even) a unipotent's own class, which its order does not fix, is in Sigma
+    g, cold = parse_group(descriptor), parse_group(descriptor)
+    partition = g.classes()
+    pairs = []
+    for cls in partition.classes[1:]:
+        x = cls.representative
+        for y, _ in g.centralizer_orbits(x, partition.elements):
+            gen, orders = g.read_pair(x, y)
+            if gen:
+                pairs.append((x, y, orders, (orders, tuple(sorted(orders)), orders[::-1])))
+    walks = [sigma_prime_walk(g, x, y) for x, y, _, _ in pairs]
+    for (x, y, _, variants), walk in zip(pairs, walks):
+        for orders in variants:
+            assert cold.sigma_classes(sigma_prime_fingerprints(cold, x, y, orders)) == walk
+    masks = [sigma_prime_fingerprints(g, x, y) for x, y, _, _ in pairs]
+    assert list(map(g.sigma_classes, masks)) == walks
+    for (x, y, _, variants), mask in zip(pairs, masks):
+        assert all(sigma_prime_fingerprints(g, x, y, orders) == mask for orders in variants)
+
+
 @pytest.mark.parametrize("descriptor", ["alt:6", "psl2:13", "ab:7"])
 def test_sigma_masks_of_two_handles_decode_alike(descriptor):
     # bits are numbered in the order each handle first sees a class, so two
