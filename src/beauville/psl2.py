@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import xor
 
 from .fields import gf
 from .groups import Group, GroupError, HandleMismatch, closure
@@ -79,6 +80,8 @@ class PSL2(Group):
         # trace -> projective order: +-2 seeded, the rest filled by _semisimple_order
         self._order_by_trace = dict.fromkeys((field.two, field.minus_two), p)
         self._prime_trace: dict[int, int] = {}  # prime r -> an order-r trace
+        # orders -> one shared SubgroupClass("full"): a cache read, not a 1 us dataclass init
+        self._full_class = lru_cache(maxsize=None)(lambda o: SubgroupClass("full", orders=o))
 
     def descriptor(self):
         return f"psl2:{self.field.descriptor()}"
@@ -161,6 +164,21 @@ class PSL2(Group):
             return F._log, F._exp, None, None
         zech = [3 * n if k < 0 else k for k in F._zech]
         return F._log, F._exp[:n] * 3 + [0] * (2 * n), zech * 4, F._neg
+
+    @cached_property
+    def _add(self):
+        """u + v on an extension field: an XOR for p = 2, else g**i + g**j =
+        g**(i + zech[j - i]) on the field's tables (j - i wraps; zech -1: 0)."""
+        if self.p == 2:
+            return xor
+        log, exp, zech = self.field._log, self.field._exp, self.field._zech
+
+        def add(u, v):
+            if u and v:
+                i = log[u]
+                return exp[i + z] if (z := zech[log[v] - i]) >= 0 else 0
+            return u or v
+        return add
 
     def inverse(self, m):
         return self._canon(self._mat_inv(m))
@@ -342,30 +360,33 @@ class PSL2(Group):
                 yield (0, b, c, d)
 
     def random_element(self, rng):
-        """Uniform: (a, b) != 0 drawn first, then the free one of c and d,
-        each draw the ``randrange(q)`` of ``GF.random``; a prime field works
-        on residues, the sign fixed as in ``multiply``."""
-        q, draw = self.q, rng.randrange
-        while True:
-            a, b = draw(q), draw(q)
-            if a or b:
-                break
+        """Uniform: (a, b) != 0 drawn first, then r, the free one of c and d,
+        each by the loop of ``Random.randrange(q)``, getrandbits(q.bit_length())
+        until below q, so elements and stream are those of ``GF.random``; then
+        residues, or reads of the field's log and exp tables (exp is 2(q - 1)
+        long, so no index is reduced), the sign fixed as in ``multiply``."""
+        q, bits, k = self.q, rng.getrandbits, self.q.bit_length()
+        a = b = 0
+        while not (a or b):
+            while (a := bits(k)) >= q:
+                pass
+            while (b := bits(k)) >= q:
+                pass
+        while (r := bits(k)) >= q:
+            pass
         if self.e == 1:
-            if a:
-                c = draw(q)
-                d = pow(a, q - 2, q) * (1 + b * c) % q
-            else:
-                c, d = -pow(b, q - 2, q) % q, draw(q)
+            c, d = (r, pow(a, q - 2, q) * (1 + b * r) % q) if a else (-pow(b, q - 2, q) % q, r)
             if (a or b) > q >> 1:
                 return -a % q, -b % q, -c % q, -d % q
             return a, b, c, d
-        F = self.field
-        if a:
-            c = draw(q)
-            d = F.mul(F.inv(a), F.add(1, F.mul(b, c)))
-        else:
-            c, d = F.neg(F.inv(b)), draw(q)
-        return self._canon((a, b, c, d))
+        log, exp, neg = self.field._log, self.field._exp, self.field._neg or range(q)
+        if a:  # d = (1 + b*r)/a, and exp[q - 1 - log a] = 1/a
+            s = self._add(1, b and r and exp[log[b] + log[r]])
+            c, d = r, s and exp[q - 1 - log[a] + log[s]]
+        else:  # c = -1/b; for p = 2, neg is range(q): -v = v
+            c, d = neg[exp[q - 1 - log[b]]], r
+        v = a or b
+        return (a, b, c, d) if v <= neg[v] else (neg[a], neg[b], neg[c], neg[d])
 
     # -- the trace-triple solver -----------------------------------------------------
 
@@ -438,16 +459,17 @@ class PSL2(Group):
     # -- subgroup classification -----------------------------------------------------
 
     def classify_pair(self, x, y) -> SubgroupClass:
-        """``classify_traces`` of the lifts x, y and xy, its closure run on
-        (x, y); residues mod p on a prime field."""
+        """``classify_traces`` of the lifts x, y and xy, its closure run on (x, y),
+        from residues mod p on a prime field, else the field's log tables and ``_add``."""
+        (x0, x1, x2, x3), (y0, y1, y2, y3) = x, y
         if self.e == 1:
             p = self.p
-            g = (x[0] * y[0] + x[1] * y[2] + x[2] * y[1] + x[3] * y[3]) % p
-            return self.classify_traces((x[0] + x[3]) % p, (y[0] + y[3]) % p, g, (x, y))
-        F = self.field
-        g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
-                  F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
-        return self.classify_traces(self.trace(x), self.trace(y), g, (x, y))
+            g = (x0 * y0 + x1 * y2 + x2 * y1 + x3 * y3) % p
+            return self.classify_traces((x0 + x3) % p, (y0 + y3) % p, g, (x, y))
+        log, exp, add = self.field._log, self.field._exp, self._add
+        u, v = x0 and y0 and exp[log[x0] + log[y0]], x1 and y2 and exp[log[x1] + log[y2]]
+        w, z = x2 and y1 and exp[log[x2] + log[y1]], x3 and y3 and exp[log[x3] + log[y3]]
+        return self.classify_traces(add(x0, x3), add(y0, y3), add(add(u, v), add(w, z)), (x, y))
 
     def classify_traces(self, a, b, g, pair=None) -> SubgroupClass:
         """The exact Dickson class, with orders (|x|, |y|, |xy|), of <x, y>
@@ -488,22 +510,26 @@ class PSL2(Group):
         equal to +-I: X = eI (e = +-1) gives a = 2e and g = eb, so
         a**2 + b**2 + g**2 - abg = 4, and likewise for Y; XY = eI gives
         Y = eX**-1, so b = ea and g = 2e.  So each of |x|, |y|, |xy| is the
-        order of its trace.  A singular triple takes |x|, |y| from
-        ``order_of``, and |xy| = 1 iff y = x**-1, else the order of its trace.
+        order of its trace.  A singular triple takes the same orders, but 1
+        for x = 1 or y = 1 (trace 2) and for xy = 1, that is y = x**-1.
         """
-        F = self.field
         if self.e == 1:
             singular = (a * a + b * b + g * g - a * b * g - 4) % self.p == 0
-        else:
-            s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
-            singular = F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4)
+        else:  # a**2 + b**2 + g**2 = 4 + abg, through the logs of a, b, g
+            log, exp, add = self.field._log, self.field._exp, self._add
+            la, lb, lg = log[a], log[b], log[g]
+            abg = a and b and g and exp[(la + lb + lg) % (self.q - 1)]
+            squares = add(add(a and exp[2 * la], b and exp[2 * lb]), g and exp[2 * lg])
+            singular = squares == add(4 % self.p, abg)
+        order = self._trace_order
         if singular:
             if pair is None:
                 return SubgroupClass("structural")
-            x, y = pair
-            xy = 1 if y == self.inverse(x) else self._trace_order(g)
-            return SubgroupClass("structural", orders=(self.order_of(x), self.order_of(y), xy))
-        order = self._trace_order
+            x, y = pair  # x = 1 has trace 2 but order 1; xy = 1 needs tr(xy) = +-2
+            one, pm2 = (1, 0, 0, 1), (self.field.two, self.field.minus_two)
+            orders = (1 if x == one else order(a), 1 if y == one else order(b),
+                      1 if g in pm2 and y == self.inverse(x) else order(g))
+            return SubgroupClass("structural", orders=orders)
         orders = (order(a), order(b), order(g))
         if orders.count(2) >= 2:
             return SubgroupClass("dihedral", orders=orders)
@@ -512,18 +538,17 @@ class PSL2(Group):
                 pair = tuple(map(self._canon, self.solve_trace_triple(a, b, g)[:2]))
             n = len(closure(self, pair, stop_above=60))
             if n == self.order:
-                return SubgroupClass("full", orders=orders)
+                return self._full_class(orders)
             if n <= 60:
                 assert n in (12, 24, 60), f"closure of order {n} in {self.descriptor()}"
                 return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n], orders=orders)
-        if self.e == 1:  # a prime field has no proper subfield
-            return SubgroupClass("full", orders=orders)
-        pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
-        d0 = math.lcm(*map(F.subfield_degree, pieces))
-        if d0 < self.e:
-            twisted = any(d0 % F.subfield_degree(v) for v in (a, b, g))
-            return SubgroupClass("subfield", d0, "pgl" if twisted else "psl", orders=orders)
-        return SubgroupClass("full", orders=orders)
+        if self.e > 1:  # pieces in GF(p**d) iff its step divides their logs (log 0 = 0)
+            k = math.gcd(2 * la, 2 * lb, 2 * lg, log[abg])
+            d0, step = next(ds for ds in self.field._subfield_steps if k % ds[1] == 0)
+            if d0 < self.e:
+                twisted = la % step or lb % step or lg % step
+                return SubgroupClass("subfield", d0, "pgl" if twisted else "psl", orders=orders)
+        return self._full_class(orders)
 
     def generates(self, x, y) -> bool:
         return self.classify_pair(x, y).kind == "full"

@@ -110,8 +110,8 @@ def element_of_order(G, k):
 
 def random_element_generic(G, rng):
     """A uniform element of PSL2 ``G`` drawn through the field's methods,
-    as ``PSL2.random_element`` draws on an extension field: (a, b) != 0,
-    then c when a != 0 (d is forced), else d (c = -1/b)."""
+    each entry by ``GF.random`` (``randrange(q)``): (a, b) != 0, then c
+    when a != 0 (d is forced), else d (c = -1/b)."""
     F = G.field
     while True:
         a, b = F.random(rng), F.random(rng)
@@ -124,6 +124,47 @@ def random_element_generic(G, rng):
         c = F.neg(F.inv(b))
         d = F.random(rng)
     return G._canon((a, b, c, d))
+
+
+def classify_traces_generic(G, a, b, g, pair=None):
+    """``PSL2.classify_traces`` on an extension field through GF methods:
+    the trace identity by field operations, |x| and |y| of a singular pair
+    by ``order_of``, and the subfield degree as the lcm of
+    ``GF.subfield_degree`` over a**2, b**2, g**2 and abg."""
+    F = G.field
+    s = F.add(F.add(F.mul(a, a), F.mul(b, b)), F.mul(g, g))
+    if F.sub(s, F.mul(F.mul(a, b), g)) == F.of_int(4):
+        if pair is None:
+            return SubgroupClass("structural")
+        x, y = pair
+        xy = 1 if y == G.inverse(x) else G._trace_order(g)
+        return SubgroupClass("structural", orders=(G.order_of(x), G.order_of(y), xy))
+    orders = tuple(map(G._trace_order, (a, b, g)))
+    if orders.count(2) >= 2:
+        return SubgroupClass("dihedral", orders=orders)
+    if max(orders) <= 5 and (4 not in orders or 5 not in orders):
+        if pair is None:
+            pair = tuple(map(G._canon, G.solve_trace_triple(a, b, g)[:2]))
+        n = len(closure(G, pair, stop_above=60))
+        if n == G.order:
+            return SubgroupClass("full", orders=orders)
+        if n <= 60:
+            return SubgroupClass({12: "a4", 24: "s4", 60: "a5"}[n], orders=orders)
+    pieces = (F.mul(a, a), F.mul(b, b), F.mul(g, g), F.mul(F.mul(a, b), g))
+    d0 = math.lcm(*map(F.subfield_degree, pieces))
+    if d0 < G.e:
+        twisted = any(d0 % F.subfield_degree(v) for v in (a, b, g))
+        return SubgroupClass("subfield", d0, "pgl" if twisted else "psl", orders=orders)
+    return SubgroupClass("full", orders=orders)
+
+
+def classify_pair_generic(G, x, y):
+    """``classify_traces_generic`` of the traces of x, y and xy, each
+    computed through GF methods, its closure run on (x, y)."""
+    F = G.field
+    g = F.add(F.add(F.mul(x[0], y[0]), F.mul(x[1], y[2])),
+              F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
+    return classify_traces_generic(G, G.trace(x), G.trace(y), g, (x, y))
 
 
 def order_of_brute(G, a):

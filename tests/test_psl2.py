@@ -5,13 +5,14 @@ from collections import Counter
 
 import pytest
 
+from beauville.fields import GF
 from beauville.groups import GroupError
 from beauville.numutil import is_prime
 from beauville.psl2 import PSL2, SubgroupClass
 
-from _oracles import (classify_pair_brute, crafted_psl2_pairs, element_of_order,
-                      order_of_brute, random_element_generic, trace_identity,
-                      traces_by_order_brute)
+from _oracles import (classify_pair_brute, classify_pair_generic, classify_traces_generic,
+                      crafted_psl2_pairs, element_of_order, order_of_brute,
+                      random_element_generic, trace_identity, traces_by_order_brute)
 
 MACBEATH_SPECS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
                   (5, 2), (7, 2), (101, 1)]
@@ -509,13 +510,16 @@ def test_traces_by_order_matches_per_trace_ladder_scan(p, e):
     assert g._order_by_trace == {**orders, g.field.two: p, g.field.minus_two: p}
 
 
-# -- the prime-field draw and classifier -------------------------------------------
+# -- the table draw and classifier ---------------------------------------------------
 
-@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (101, 1), (1009, 1), (2, 7), (3, 5)])
+# psl2:257 rejects about half of its getrandbits(9) draws, and the small
+# fields draw a = 0 and zero entries often
+@pytest.mark.parametrize("p,e", [(5, 1), (7, 1), (101, 1), (257, 1), (1009, 1), (2, 2),
+                                 (2, 3), (3, 2), (2, 7), (3, 5), (5, 3), (2, 9)])
 def test_draw_matches_the_field_generic_draw(p, e):
-    # the same elements from the same randrange calls: a Monte Carlo stream
-    # drawn through residues (or randrange(q) on an extension field) is the
-    # one drawn through GF methods
+    # the same elements from the same random bits: a Monte Carlo stream drawn
+    # by the inline getrandbits loop, through residues or log tables, is the
+    # one drawn by randrange(q) and GF methods
     g = PSL2(p, e)
     for seed in range(1000):
         fused, generic = random.Random(seed), random.Random(seed)
@@ -541,3 +545,64 @@ def test_prime_field_classifier_matches_the_bfs_oracle_on_every_pair_of_psl2_7()
 def test_prime_field_classifier_matches_the_bfs_oracle_on_random_pairs_of_psl2_101():
     g, rng = PSL2(101), random.Random(101)
     _classify_against_bfs(g, [(g.random_element(rng), g.random_element(rng)) for _ in range(2000)])
+
+
+def _classify_against_generic(g, triples, pairs):
+    for a, b, c in triples:
+        cls, ref = g.classify_traces(a, b, c), classify_traces_generic(g, a, b, c)
+        assert (cls, cls.orders) == (ref, ref.orders), (a, b, c)
+    for x, y in pairs:
+        cls, ref = g.classify_pair(x, y), classify_pair_generic(g, x, y)
+        assert (cls, cls.orders) == (ref, ref.orders), (x, y)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4), (3, 3)])
+def test_extension_field_classifier_matches_the_generic_one_on_every_triple(p, e):
+    g, rng = PSL2(p, e), random.Random(p ** e)
+    els = range(g.q)
+    _classify_against_generic(g, ((a, b, c) for a in els for b in els for c in els),
+                              [(g.random_element(rng), g.random_element(rng)) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("p,e", [(2, 6), (3, 4), (2, 7), (3, 5), (2, 9), (5, 3)])
+def test_extension_field_classifier_matches_the_generic_one_on_random_triples(p, e):
+    g, rng = PSL2(p, e), random.Random(p ** e)
+    q = g.q
+    _classify_against_generic(g, [(rng.randrange(q), rng.randrange(q), rng.randrange(q))
+                                  for _ in range(20000)],
+                              [(g.random_element(rng), g.random_element(rng)) for _ in range(2000)])
+
+
+@pytest.mark.parametrize("p,e", [(2, 7), (3, 5)])
+def test_extension_field_draw_and_classifier_call_no_field_method(p, e, monkeypatch):
+    # once the order memo is full, a draw and a classify_pair are table reads;
+    # only the small-order closure, which multiplies, may reach GF
+    g, rng, calls = PSL2(p, e), random.Random(e), Counter()
+    g.traces_by_order()
+    for name in ("mul", "add", "sub", "neg", "inv", "subfield_degree"):
+        def counted(self, *args, _name=name, _method=getattr(GF, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(GF, name, counted)
+    checked = 0
+    for _ in range(1000):
+        x, y = g.random_element(rng), g.random_element(rng)
+        assert not calls, (x, y, calls)
+        cls = g.classify_pair(x, y)
+        if max(cls.orders) > 5:
+            assert not calls, (x, y, cls, calls)
+            checked += 1
+        calls.clear()
+    assert checked > 950
+
+
+def test_full_classes_are_shared_and_compare_as_before():
+    g, rng = PSL2(2, 7), random.Random(7)
+    pairs = ((g.random_element(rng), g.random_element(rng)) for _ in range(200))
+    full = [cls for cls in (g.classify_pair(x, y) for x, y in pairs) if cls.kind == "full"]
+    by_orders = {}
+    for cls in full:
+        assert by_orders.setdefault(cls.orders, cls) is cls  # one instance per orders
+        assert cls == SubgroupClass("full") and hash(cls) == hash(SubgroupClass("full"))
+        assert repr(cls) == "SubgroupClass(kind='full', subfield_degree=None, subfield_kind=None)"
+    assert len(full) > 2 * len(by_orders)
