@@ -1,8 +1,9 @@
 """Unmixed Beauville structures in concrete finite groups.
 
 Realizations: PSL2(p^e) over exact GF(p^e) arithmetic, alternating and
-symmetric groups (generation by a bounded closure for n <= 7, else by a
-Jordan certificate or Schreier-Sims), and Zn x Zn.  On top of the uniform
+symmetric groups (generation by one k-subset orbit on A_5..A_8, S_7, S_8, a
+bounded closure on S_5, S_6 and n <= 4, else a Jordan certificate or
+Schreier-Sims), and Zn x Zn.  On top of the uniform
 group contract sit the three-condition Beauville verifier, exhaustive and
 guided structure searches, the class-algebra counting formula (brute and
 character-sum), Burnside character tables, the Witten zeta function, the

@@ -5,11 +5,12 @@ image of i; composition is ``(a*b)[i] = a[b[i]]`` (apply b first), matching
 the matrix convention of the PSL2 realization.  Text encoding is 1-based
 cycle notation ``(1 2 3)(4 5)`` with ``()`` for the identity.
 
-Generation is decided exactly: intransitive pairs fail; for n <= 7 a BFS
+Generation is decided exactly: intransitive pairs fail; on A_5..A_8, S_7
+and S_8 one orbit on k-subsets decides; on S_5, S_6 and n <= 4 a BFS
 closure stopped just above the largest order a proper subgroup can have
-decides; for n >= 8 a Jordan prime-cycle certificate proves A_n, and the
+decides; for n >= 9 a Jordan prime-cycle certificate proves A_n, and the
 rest goes to a deterministic Schreier-Sims base and strong generating set
-(also the oracle for both fast paths).  Conjugacy fingerprints are cycle
+(also the oracle for every fast path).  Conjugacy fingerprints are cycle
 types, refined by the parity discriminator on the types (all cycle lengths
 odd and distinct) whose S_n class splits into two A_n classes.
 """
@@ -236,20 +237,44 @@ def _walk(x, y):
         yield slots[i]
 
 
+def _subset_orbit(x, y, k) -> int:
+    """Size of the orbit of {0, ..., k-1} under <x, y> on n <= 8 points; a
+    subset is a bitmask, mapped nibble by nibble by two tables per generator."""
+    tables = []
+    for g in (x, y):
+        for half in (g[:4], g[4:]):
+            t = [0]
+            for p in half:
+                t += [m | 1 << p for m in t]
+            tables.append(t)
+    xl, xh, yl, yh = tables
+    seen, frontier = {(1 << k) - 1}, [(1 << k) - 1]
+    for s in frontier:
+        for t in (xl[s & 15] | xh[s >> 4], yl[s & 15] | yh[s >> 4]):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return len(frontier)
+
+
 def _generates_giant(G, x, y) -> bool:
     """Exact test for <x, y> = G, where G is A_n, or S_n with x or y odd.
 
     1. If the orbit of point 0 is not all n points, <x, y> is intransitive:
        False.
-    2. For n <= 7 (the prime window of step 3 is empty) the BFS closure of
-       x, y is stopped just above b and decides: <x, y> = G exactly when it
-       has more than b elements, with b = |G|/n for n >= 5 and b = |G| - 1
-       below.  A_n with n >= 5 has no proper subgroup of index < n, and the
-       only one of S_n is A_n, which <x, y> is not since x or y is odd
-       (``SymmetricGroup.generates`` refused two even generators); so a
-       subgroup with more than |G|/n elements is G (Dixon & Mortimer,
-       Permutation Groups, Sec. 5.2).
-    3. If x, y or a product met by ``_walk`` has a cycle of prime length p
+    2. On A_5..A_8, S_7 and S_8, <x, y> contains A_n exactly when the orbit
+       of {0, ..., k-1}, k = {5: 2, 6: 3, 7: 3, 8: 4}[n], holds all C(n, k)
+       k-subsets: A_n is k-homogeneous, and for these n only a group holding
+       A_n has such an orbit (README, "Giant recognition", has the proof).
+       S_5 and S_6 hold the 2- and 3-homogeneous AGL1(5) and PGL2(5).
+    3. On S_5, S_6 and n <= 4 the BFS closure of x, y is stopped just above
+       b and decides: <x, y> = G exactly when it has more than b elements,
+       with b = |G|/n for n >= 5 and b = |G| - 1 below.  A_n with n >= 5 has
+       no proper subgroup of index < n, and the only one of S_n is A_n,
+       which <x, y> is not since x or y is odd (``SymmetricGroup.generates``
+       refused two even generators); so a subgroup with more than |G|/n
+       elements is G (Dixon & Mortimer, Permutation Groups, Sec. 5.2).
+    4. If x, y or a product met by ``_walk`` has a cycle of prime length p
        with n/2 < p < n - 2, then <x, y> contains A_n: True.  Since 2p > n
        that cycle is the only one of length divisible by p, so a power of
        the element is a p-cycle.  A transitive group holding a p-cycle with
@@ -258,7 +283,7 @@ def _generates_giant(G, x, y) -> bool:
        lies in one block, which then has over n/2 points: all of them.  By
        Jordan's theorem a primitive group holding a p-cycle with p <= n - 3
        contains A_n (Dixon & Mortimer, Permutation Groups, Thm. 3.3E).
-    4. Anything else is decided by Schreier-Sims: |<x, y>| == |G|.
+    5. Anything else is decided by Schreier-Sims: |<x, y>| == |G|.
     """
     orbit, frontier = {0}, [0]
     for p in frontier:
@@ -268,7 +293,10 @@ def _generates_giant(G, x, y) -> bool:
                 frontier.append(q)
     if len(orbit) < G.n:
         return False
-    if G.n <= 7:
+    k = {5: 2, 6: 3, 7: 3, 8: 4}.get(G.n) if G.n >= 7 or G.kind == "alternating" else None
+    if k:
+        return _subset_orbit(x, y, k) == math.comb(G.n, k)
+    if G.n <= 6:
         bound = G.order // G.n if G.n >= 5 else G.order - 1
         return len(closure(G, (x, y), stop_above=bound)) > bound
     primes = G._jordan_primes

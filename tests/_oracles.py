@@ -177,6 +177,20 @@ def order_of_brute(G, a):
     return k
 
 
+def subset_orbit_brute(x, y, k):
+    """The orbit of the k-subset {0, ..., k-1} under the permutations x and
+    y, by BFS over frozensets (the oracle of ``perms._subset_orbit``)."""
+    start = frozenset(range(k))
+    orbit, frontier = {start}, [start]
+    for s in frontier:
+        for g in (x, y):
+            t = frozenset(g[p] for p in s)
+            if t not in orbit:
+                orbit.add(t)
+                frontier.append(t)
+    return orbit
+
+
 def proper_subgroup_bound(G):
     """Largest proper subgroup order of PSL2 ``G`` (Dickson: Borel,
     dihedral, A4, S4, A5, subfield; the Borel dominates subfield groups for

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beauville import perms
 from beauville.fields import gf
 from beauville.groups import GroupError, closure, parse_group
-from beauville.perms import (BSGS, AlternatingGroup, SymmetricGroup, _walk,
+from beauville.perms import (BSGS, AlternatingGroup, SymmetricGroup, _subset_orbit, _walk,
                              construct_almost_homogeneous, cycle_type,
                              cycles_of, format_cycles, format_shape,
                              order_partition, parse_cycles, parity, perm_inv,
@@ -123,6 +124,26 @@ def _wreath_pair(k):
     return n, parse_cycles("(1 2)", n), tuple(y)
 
 
+def _singer(v):
+    # v -> t v on F_8 = F_2[t]/(t^3 + t + 1), vectors as 3-bit integers
+    v <<= 1
+    return v ^ 0b1011 if v & 0b1000 else v
+
+
+def _affine8_pair(linear, shift):
+    # v -> linear(v) + shift and the Singer cycle v -> t v on the 8 points of F_8
+    return 8, tuple(linear(v) ^ shift for v in range(8)), tuple(map(_singer, range(8)))
+
+
+def _frobenius(v):
+    # v -> v^2: 1 -> 1, t -> t^2, t^2 -> t^4 = t^2 + t
+    return (v & 1) ^ (0b100 if v & 0b10 else 0) ^ (0b110 if v & 0b100 else 0)
+
+
+def _transvection(v):
+    return v ^ (0b10 if v & 1 else 0)
+
+
 HARD_CASES = [  # (name, (n, x, y), order of <x, y>)
     ("PSL2(7) on 8 points", _psl2_pair(7), 168),
     ("PGL2(7) on 8 points", _psl2_pair(7, nu=3), 336),
@@ -133,6 +154,11 @@ HARD_CASES = [  # (name, (n, x, y), order of <x, y>)
     ("AGL1(13)", _agl1_pair(13, 2), 156),
     ("S4 wr S2 on 8 points", _wreath_pair(4), 24 ** 2 * 2),
     ("S5 wr S2 on 10 points, 5-cycles at p = n/2", _wreath_pair(5), 120 ** 2 * 2),
+    # the primitive proper subgroups of A8 that no 5-cycle certifies: a power
+    # of x is a translation, and its Singer conjugates give all of F_8
+    ("AGL1(8)", _affine8_pair(lambda v: v, 1), 56),
+    ("AGammaL1(8), x: v -> v^2 + 1", _affine8_pair(_frobenius, 1), 168),
+    ("AGL3(2), x: a transvection plus 1", _affine8_pair(_transvection, 1), 1344),
 ]
 
 
@@ -150,7 +176,50 @@ def test_certificate_never_fires_on_proper_subgroups(name, case, order):
         assert _bsgs_generates(G, x, y) is False
 
 
-# -- n <= 7: bounded closure against the BSGS oracle ---------------------------
+# -- n <= 8: k-subset orbit and bounded closure against the oracles -----------
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_subset_orbit_matches_the_frozenset_oracle(n):
+    from _oracles import subset_orbit_brute
+    G, rng = SymmetricGroup(n), random.Random(f"subsets:{n}")
+    pairs = [(x, y) for _, (m, x, y), _ in HARD_CASES + SMALL_PROPER if m == n]
+    for _ in range(100):
+        x, y = G.random_element(rng), G.random_element(rng)
+        pairs += [(x, y), (x, perm_mul(x, x))]  # the second pair is cyclic
+    for x, y in pairs:
+        for k in range(1, n):
+            assert _subset_orbit(x, y, k) == len(subset_orbit_brute(x, y, k)), (
+                format_cycles(x), format_cycles(y), k)
+
+
+@pytest.mark.parametrize("desc", ["alt:5", "sym:5", "alt:6", "sym:6"])
+def test_generates_agrees_with_bsgs_on_every_pair_up_to_conjugacy(desc):
+    # <x, y> = G is invariant under simultaneous conjugation, so x runs over
+    # the non-identity class representatives and y over all of G
+    G = parse_group(desc)
+    elements = list(G.iter_elements())
+    for cls in G.classes().classes[1:]:
+        x = cls.representative
+        for y in elements:
+            assert G.generates(x, y) == _bsgs_generates(G, x, y), (
+                format_cycles(x), format_cycles(y))
+
+
+@pytest.mark.parametrize("desc", ["alt:8", "sym:8"])
+def test_degree_8_generates_builds_no_bsgs_and_runs_no_walk(desc, monkeypatch):
+    G = parse_group(desc)
+    rng = random.Random(f"no-bsgs:{desc}")
+    pairs = [(G.random_element(rng), G.random_element(rng)) for _ in range(200)]
+    pairs += [(x, y) for _, (n, x, y), _ in HARD_CASES if n == 8]
+    truths = [_bsgs_generates(G, x, y) for x, y in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("degree 8 needs no Schreier-Sims, walk or closure")
+    for name in ("BSGS", "_walk", "closure"):
+        monkeypatch.setattr(perms, name, refuse)
+    assert [G.generates(x, y) for x, y in pairs] == truths
+    assert 0 < sum(truths) < 200
+
 
 @pytest.mark.parametrize("desc", ["alt:5", "sym:5"])
 def test_closure_decider_agrees_with_bsgs_on_every_pair(desc):
@@ -181,18 +250,17 @@ def test_closure_decider_agrees_with_bsgs_on_random_pairs(desc):
 
 
 def _fano_pair():
-    # a Singer 7-cycle v -> t v of F_8 = F_2[t]/(t^3 + t + 1) and the
-    # transvection v -> v + v_0 t on the 7 nonzero vectors: PSL2(7) = GL3(2)
-    def singer(v):
-        v <<= 1
-        return v ^ 0b1011 if v & 0b1000 else v
-    x = tuple(singer(v) - 1 for v in range(1, 8))
-    y = tuple((v ^ (0b10 if v & 1 else 0)) - 1 for v in range(1, 8))
+    # the Singer 7-cycle and the transvection v -> v + v_0 t on the 7
+    # nonzero vectors of F_8: PSL2(7) = GL3(2)
+    x = tuple(_singer(v) - 1 for v in range(1, 8))
+    y = tuple(_transvection(v) - 1 for v in range(1, 8))
     return 7, x, y
 
 
 SMALL_PROPER = [  # (name, (n, x, y), order of <x, y>); the first two sit
-    # exactly at the closure bound |G|/n, so an off-by-one bound accepts them
+    # exactly at the closure bound |G|/n, so an off-by-one bound accepts them;
+    # PGL2(5) is 3-homogeneous and AGL1(5) 2-homogeneous, so no subset orbit
+    # refuses them on sym:6 and sym:5
     ("PSL2(5) on 6 points, order |A6|/6", _psl2_pair(5), 60),
     ("PGL2(5) on 6 points, order |S6|/6", _psl2_pair(5, nu=2), 120),
     ("PSL2(7) on 7 points", _fano_pair(), 168),
